@@ -7,59 +7,4 @@ uncertainty, either by projecting the entropy map into k-space or by
 differentiating the total entropy back to the measurements.
 """
 
-from .config import ExperimentConfig, default_config
-from .fourier import (
-    NoiseSpec,
-    SamplingMask,
-    acquire,
-    forward_fft,
-    inverse_fft,
-    make_center_mask,
-    sampling_budget,
-    zero_fill,
-)
-from .gradients import (
-    KSpaceGradient,
-    backward_to_kspace,
-    line_gradient_scores,
-    pipeline_forward,
-    total_entropy_loss,
-)
-from .metrics import nmse, psnr, ssim
-from .model import (
-    LatentTransformer,
-    TokenDistribution,
-    TransformerConfig,
-    cross_entropy,
-    fuse_streams,
-    predicted_tokens,
-    reconstruct,
-    tokenize_image,
-    train_model,
-)
-from .phantoms import PhantomSpec, make_splits, random_ellipse_phantom, shepp_logan
-from .policies import (
-    AcquisitionConfig,
-    AcquisitionTrajectory,
-    EntropyMap,
-    entropy_map,
-    geo_select,
-    les_select,
-    oracle_reconstruct,
-    patch_entropy,
-    random_select,
-    run_acquisition,
-    upsample_bilinear,
-)
-from .tokenizer import (
-    Codebook,
-    LatentGrid,
-    Tokenizer,
-    patchify,
-    quantize,
-    ste_quantize_grad,
-    train_tokenizer,
-    unpatchify,
-)
-
 __version__ = "0.1.0"

@@ -64,8 +64,8 @@ def load_config(args) -> ExperimentConfig:
     if getattr(args, "accel", None):
         cfg.acquisition.accelerations = list(args.accel)
     if getattr(args, "steps", None) is not None:
-        cfg.acquisition.T = args.steps
-        cfg.bench.T = args.steps
+        section = cfg.bench if args.command == "bench" else cfg.acquisition
+        section.T = args.steps
     cfg.validate()
     return cfg
 

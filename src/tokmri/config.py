@@ -13,6 +13,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
+from .policies import POLICIES
 
 
 @dataclass
@@ -62,9 +63,7 @@ class AcquisitionSection:
     accelerations: list[int] = field(default_factory=lambda: [4, 8])
     T: int = 4
     lines_per_step: int | None = None
-    policies: list[str] = field(
-        default_factory=lambda: ["random", "les", "geo", "oracle"]
-    )
+    policies: list[str] = field(default_factory=lambda: list(POLICIES))
     noise_sigma: float = 0.0
     noise_seed: int = 0
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
@@ -85,7 +84,6 @@ class BenchSection:
 @dataclass
 class ExperimentConfig:
     out_dir: str = "runs/default"
-    workers: int = 4
     data: DataConfig = field(default_factory=DataConfig)
     tokenizer: TokenizerSection = field(default_factory=TokenizerSection)
     model: ModelSection = field(default_factory=ModelSection)
@@ -110,7 +108,9 @@ class ExperimentConfig:
             if key not in sections:
                 raise ConfigError(f"unknown config section {key!r}")
             current = getattr(cfg, key)
-            if isinstance(value, dict) and hasattr(current, "__dataclass_fields__"):
+            if hasattr(current, "__dataclass_fields__"):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"config section {key!r} must be a mapping")
                 known = {f.name for f in fields(current)}
                 for sub, sub_val in value.items():
                     if sub not in known:
@@ -143,13 +143,15 @@ class ExperimentConfig:
         if self.model.embed_dim % self.model.heads:
             raise ConfigError("embed_dim must be divisible by heads")
         for pol in self.acquisition.policies:
-            if pol not in ("random", "les", "geo", "oracle"):
+            if pol not in POLICIES:
                 raise ConfigError(f"unknown policy {pol!r}")
         for R in self.acquisition.accelerations:
             if R < 1:
                 raise ConfigError("accelerations must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        for key in ("accel", "T", "min_steps"):
+            value = getattr(self.bench, key)
+            if not isinstance(value, int) or value < 1:
+                raise ConfigError(f"bench.{key} must be an integer >= 1")
         if not self.acquisition.seeds:
             raise ConfigError("at least one acquisition seed is required")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .fourier import NoiseSpec
+from .fourier import NoiseSpec, make_center_mask, sampling_budget
 from .metrics import evaluate
 from .model import (
     LatentTransformer,
@@ -292,10 +291,8 @@ def run_one_policy_config(
     cfg, tokenizer, model, images, policy, R, seed
 ) -> list[tuple[str, AcquisitionTrajectory]]:
     acq = cfg.acquisition
-    results: list[tuple[str, AcquisitionTrajectory]] = [None] * len(images)
-
-    def work(item):
-        idx, (image_id, img) = item
+    results: list[tuple[str, AcquisitionTrajectory]] = []
+    for idx, (image_id, img) in enumerate(images):
         acq_cfg = AcquisitionConfig(
             R=R,
             rho_c=acq.rho_c,
@@ -305,11 +302,8 @@ def run_one_policy_config(
             noise=NoiseSpec(acq.noise_sigma, seed=acq.noise_seed),
             seed=_traj_seed(seed, idx),
         )
-        return idx, image_id, run_acquisition(img, acq_cfg, model, tokenizer)
-
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        for idx, image_id, traj in pool.map(work, enumerate(images)):
-            results[idx] = (image_id, traj)
+        results.append((image_id, run_acquisition(img, acq_cfg, model,
+                                                  tokenizer)))
     return results
 
 
@@ -443,6 +437,16 @@ def cmd_bench(cfg: ExperimentConfig) -> BenchResult:
     images = load_split(cfg, "test")
     if not images:
         raise ConfigError("bench needs at least one test image (run gen-data)")
+    # a trajectory without lines to acquire records no steps, and the
+    # min_steps loop below would never end
+    num_lines = images[0][1].shape[0]
+    rho_c = cfg.acquisition.rho_c
+    free = num_lines - make_center_mask(num_lines, rho_c).nnz
+    if min(sampling_budget(num_lines, cfg.bench.accel, rho_c), free) < 1:
+        raise ConfigError(
+            f"bench.accel={cfg.bench.accel} leaves no line to acquire "
+            f"on {num_lines}-line images"
+        )
     bench_dir = Path(cfg.out_dir) / "bench"
     rows = []
     for policy in ("les", "geo"):

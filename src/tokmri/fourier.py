@@ -116,11 +116,16 @@ class NoiseSpec:
         if self.sigma < 0:
             raise ConfigError(f"noise sigma must be >= 0, got {self.sigma}")
 
-    def draw(self, shape) -> np.ndarray:
-        """Noise field for a full grid; all-zero when sigma == 0."""
+    def draw(self, shape, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Noise field for a full grid; all-zero when sigma == 0.
+
+        Draws from `rng` when given, else from a generator seeded with
+        `seed`; sigma == 0 consumes nothing from `rng`.
+        """
         if self.sigma == 0.0:
             return np.zeros(shape, dtype=np.complex128)
-        rng = np.random.default_rng(self.seed)
+        if rng is None:
+            rng = np.random.default_rng(self.seed)
         return self.sigma * (
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         )

@@ -21,7 +21,6 @@ from . import autodiff as ad
 from .autodiff import Tape
 from .errors import InvalidInputError
 from .model import LatentTransformer, TokenDistribution, build_forward
-from .storage import save_ctns
 from .tokenizer import CHANNEL_NORM_EPS, ChannelStats, Tokenizer, channel_stats
 
 
@@ -40,12 +39,6 @@ def stream_entropy(dist: TokenDistribution) -> np.ndarray:
     return entropy_nats(dist.probs)
 
 
-def total_entropy_loss(dist_re: TokenDistribution,
-                       dist_im: TokenDistribution) -> float:
-    """Summed per-position entropy of both streams (nats)."""
-    return float(stream_entropy(dist_re).sum() + stream_entropy(dist_im).sum())
-
-
 @dataclass(frozen=True)
 class KSpaceGradient:
     """d(total entropy)/d(k-space) and its magnitude map.
@@ -58,10 +51,6 @@ class KSpaceGradient:
 
     grad: np.ndarray       # (H, W) complex128
     magnitude: np.ndarray  # (H, W) float64
-
-    def save_magnitude(self, path) -> None:
-        """Debug dump of the magnitude map as a CTNS file."""
-        save_ctns(path, self.magnitude.astype(np.complex128))
 
 
 @dataclass

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import GeometryError, ShapeMismatchError, UndefinedMetricError
@@ -86,26 +84,3 @@ def evaluate(ref_mag: np.ndarray, est_mag: np.ndarray,
         "ssim": ssim(ref_mag, est_mag),
         "nmse": nmse(ref_mag, est_mag),
     }
-
-
-@dataclass
-class MetricReport:
-    """Per-image metric rows plus set-level mean and std."""
-
-    rows: list[dict] = field(default_factory=list)
-
-    def add(self, image_id: str, **metrics) -> None:
-        self.rows.append({"image_id": image_id, **metrics})
-
-    def mean(self, key: str) -> float:
-        return float(np.mean([r[key] for r in self.rows]))
-
-    def std(self, key: str) -> float:
-        return float(np.std([r[key] for r in self.rows]))
-
-    def summary(self) -> dict[str, dict[str, float]]:
-        keys = [k for k in self.rows[0] if k != "image_id"] if self.rows else []
-        return {
-            "mean": {k: self.mean(k) for k in keys},
-            "std": {k: self.std(k) for k in keys},
-        }

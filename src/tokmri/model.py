@@ -76,60 +76,13 @@ class TokenDistribution:
         return self.probs.shape[1]
 
 
-def fuse_streams(q_re: LatentGrid, q_im: LatentGrid,
-                 gamma: np.ndarray | None = None,
-                 beta: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise layer norm of the element-wise stream sum.
-
-    The affine part defaults to identity; the trained model supplies its
-    learned gamma/beta.
-    """
-    if (q_re.L, q_re.D) != (q_im.L, q_im.D):
-        raise ShapeMismatchError(
-            f"stream shapes differ: {(q_re.L, q_re.D)} vs {(q_im.L, q_im.D)}"
-        )
-    if gamma is None:
-        gamma = np.ones(q_re.D)
-    if beta is None:
-        beta = np.zeros(q_re.D)
-    fused, _ = ad.layer_norm_forward(
-        q_re.vectors + q_im.vectors, gamma, beta, FUSE_EPS
-    )
-    return fused
-
-
 def predicted_tokens(dist: TokenDistribution, cb: Codebook,
-                     grid_h: int | None = None,
-                     grid_w: int | None = None) -> LatentGrid:
-    """Argmax index per position (lowest index wins ties) -> codebook rows.
-
-    The grid shape defaults to square; pass grid_h/grid_w for non-square
-    latent grids.
-    """
+                     grid_h: int, grid_w: int) -> LatentGrid:
+    """Argmax index per position (lowest index wins ties) -> codebook rows."""
     if dist.K != cb.K:
         raise ShapeMismatchError(f"distribution K={dist.K} != codebook K={cb.K}")
     indices = np.argmax(dist.probs, axis=1)
-    if grid_h is None or grid_w is None:
-        side = int(round(dist.L ** 0.5))
-        if side * side != dist.L:
-            raise ShapeMismatchError(
-                f"cannot infer a square grid from L={dist.L}; pass grid_h/grid_w"
-            )
-        grid_h = grid_w = side
     return LatentGrid(cb.entries[indices], grid_h, grid_w)
-
-
-def cross_entropy(dist: TokenDistribution | np.ndarray, targets) -> float:
-    """Mean over positions of -log p(target), from logits.
-
-    Falls back to log(probs) for distributions built without logits.
-    """
-    if isinstance(dist, TokenDistribution):
-        logits = dist.logits if dist.logits is not None else np.log(dist.probs)
-    else:
-        logits = dist
-    loss, _ = ad.cross_entropy_from_logits(np.asarray(logits), targets)
-    return loss
 
 
 def reconstruct(
@@ -153,8 +106,6 @@ def reconstruct(
 class TokenizedImage:
     """Both channels of one complex image pushed through the tokenizer."""
 
-    lat_re: LatentGrid
-    lat_im: LatentGrid
     q_re: LatentGrid
     q_im: LatentGrid
     idx_re: np.ndarray
@@ -172,8 +123,7 @@ def tokenize_image(tokenizer: Tokenizer, img: np.ndarray) -> TokenizedImage:
     lat_im = tokenizer.encode(normalize_channel(img.imag, stats_im))
     idx_re, q_re = tokenizer.quantize(lat_re)
     idx_im, q_im = tokenizer.quantize(lat_im)
-    return TokenizedImage(lat_re, lat_im, q_re, q_im, idx_re, idx_im,
-                          stats_re, stats_im)
+    return TokenizedImage(q_re, q_im, idx_re, idx_im, stats_re, stats_im)
 
 
 # ---------------------------------------------------------------------------
@@ -444,44 +394,6 @@ def batch_loss_and_grads(model: LatentTransformer, q_re: np.ndarray,
     return loss, pgrads
 
 
-def example_loss_and_grads(model: LatentTransformer, q_re: LatentGrid,
-                           q_im: LatentGrid, idx_re: np.ndarray,
-                           idx_im: np.ndarray
-                           ) -> tuple[float, dict[str, np.ndarray]]:
-    """Single-example convenience wrapper around :func:`batch_loss_and_grads`."""
-    return batch_loss_and_grads(model, q_re.vectors, q_im.vectors,
-                                idx_re, idx_im)
-
-
-def _tokenize_stack(tokenizer: Tokenizer, imgs: list[np.ndarray]
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Snapped (B, L, D) latents for both channels of a stack of images.
-
-    Vectorized equivalent of per-image :func:`tokenize_image` for the
-    training hot path (stats, encode and quantize in single array ops).
-    """
-    from .tokenizer import CHANNEL_NORM_EPS, nearest_entry_indices
-
-    arr = np.stack(imgs)  # (B, H, W) complex
-    B, H, W = arr.shape
-    p = tokenizer.p
-    gh, gw = H // p, W // p
-    chans = np.concatenate([arr.real, arr.imag])  # (2B, H, W): re block, im block
-    mu = chans.mean(axis=(1, 2), keepdims=True)
-    std = np.sqrt(chans.var(axis=(1, 2), keepdims=True) + CHANNEL_NORM_EPS)
-    z = (chans - mu) / std
-    patches = (
-        z.reshape(2 * B, gh, p, gw, p)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(2 * B, gh * gw, p * p)
-    )
-    lat = patches @ tokenizer.enc_w.T + tokenizer.enc_b
-    entries = tokenizer.codebook.entries
-    idx = nearest_entry_indices(lat.reshape(-1, lat.shape[-1]), entries)
-    snapped = entries[idx].reshape(2 * B, gh * gw, -1)
-    return snapped[:B], snapped[B:]
-
-
 def train_model(
     dataset,
     tokenizer: Tokenizer,
@@ -497,10 +409,11 @@ def train_model(
 ) -> TrainState:
     """Offline training against randomly undersampled acquisitions.
 
-    Every example in every epoch draws a fresh random mask, acquires,
-    zero-fills, tokenizes both channels, and minimizes the summed token
-    cross-entropy of both streams against the fully sampled image's token
-    indices.  The tokenizer stays frozen.
+    Every example in every epoch draws a fresh random mask (and, when
+    `noise.sigma > 0`, a fresh noise field) from the training generator,
+    acquires, zero-fills, tokenizes both channels, and minimizes the summed
+    token cross-entropy of both streams against the fully sampled image's
+    token indices.  The tokenizer stays frozen; `noise.seed` is unused.
     """
     if not dataset:
         raise ConfigError("training dataset is empty")
@@ -539,17 +452,22 @@ def train_model(
         step = 0
         for lo in range(0, len(order), batch_size):
             batch = order[lo : lo + batch_size]
-            zf_imgs, idx_re, idx_im = [], [], []
+            q_re, q_im, idx_re, idx_im = [], [], [], []
             for idx in batch:
                 img = images[int(idx)]
                 mask = mask_sampler(rng, num_lines)
-                zf_imgs.append(zero_fill(acquire(img, mask, noise=noise)))
+                eta = noise.draw(img.shape, rng)
+                zf = tokenize_image(
+                    tokenizer, zero_fill(acquire(img, mask, noise_field=eta))
+                )
+                q_re.append(zf.q_re.vectors)
+                q_im.append(zf.q_im.vectors)
                 tgt = targets[int(idx)]
                 idx_re.append(tgt.idx_re)
                 idx_im.append(tgt.idx_im)
-            q_re, q_im = _tokenize_stack(tokenizer, zf_imgs)
             loss, pgrads = batch_loss_and_grads(
-                model, q_re, q_im, np.stack(idx_re), np.stack(idx_im),
+                model, np.stack(q_re), np.stack(q_im),
+                np.stack(idx_re), np.stack(idx_im),
             )
             mean_token_ce = loss / 2.0
             if not np.isfinite(mean_token_ce):

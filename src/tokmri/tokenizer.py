@@ -159,11 +159,6 @@ def quantize(lat: LatentGrid, cb: Codebook) -> tuple[np.ndarray, LatentGrid]:
     return indices, LatentGrid(cb.entries[indices], lat.grid_h, lat.grid_w)
 
 
-def ste_quantize_grad(upstream_grad: np.ndarray) -> np.ndarray:
-    """Straight-through rule: the quantizer's backward is the identity."""
-    return np.asarray(upstream_grad)
-
-
 class Tokenizer:
     """Affine patch encoder + codebook + affine decoder."""
 
@@ -287,15 +282,9 @@ def kmeans(
     prev = np.inf
     assign = np.zeros(n, dtype=int)
     for _ in range(iters):
-        d2 = (
-            np.sum(data**2, axis=1)[:, None]
-            - 2.0 * data @ centroids.T
-            + np.sum(centroids**2, axis=1)[None, :]
-        )
-        assign = np.argmin(d2, axis=1)
-        obj = float(np.sum(np.take_along_axis(d2, assign[:, None], axis=1)))
-        # recompute distortion exactly (the expansion above can go slightly
-        # negative from cancellation)
+        assign = nearest_entry_indices(data, centroids)
+        # distortion from the differences: the distance expansion can go
+        # slightly negative from cancellation
         obj = float(np.sum((data - centroids[assign]) ** 2))
         trace.append(obj)
         for k in range(K):

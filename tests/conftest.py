@@ -42,7 +42,6 @@ def toy_setup():
 def _acceptance_config(tmp: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     cfg.out_dir = tmp
-    cfg.workers = 2
     cfg.data.n_train = 600
     cfg.data.n_val = 8
     cfg.data.n_test = 50

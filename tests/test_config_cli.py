@@ -24,7 +24,6 @@ from tokmri.storage import load_ctns
 def mini_config(out_dir: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     cfg.out_dir = out_dir
-    cfg.workers = 2
     cfg.data.size = 32
     cfg.data.n_train = 12
     cfg.data.n_val = 2
@@ -89,6 +88,14 @@ class TestConfig:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             ExperimentConfig.load(tmp_path / "nope.yaml")
+
+    @pytest.mark.parametrize("value", [0, "3"])
+    @pytest.mark.parametrize("key", ["accel", "T", "min_steps"])
+    def test_validation_bench_at_least_one(self, key, value):
+        cfg = default_config()
+        setattr(cfg.bench, key, value)
+        with pytest.raises(ConfigError, match=f"bench.{key}"):
+            cfg.validate()
 
 
 class TestGenData:
@@ -300,6 +307,58 @@ class TestCLI:
         cfg_path.write_text(cfg.to_yaml())
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_non_mapping_section_exit_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text("data: 5\n")
+        assert main(["gen-data", "--config", str(cfg_path)]) == 1
+        assert "'data'" in capsys.readouterr().err
+
+    def test_removed_workers_key_exit_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "old.yaml"
+        cfg_path.write_text(f"out_dir: {tmp_path / 'out'}\nworkers: 2\n")
+        assert main(["gen-data", "--config", str(cfg_path)]) == 1
+        assert "workers" in capsys.readouterr().err
+
+    @pytest.fixture
+    def no_trajectories(self, monkeypatch):
+        """Fail the test instead of looping if bench starts a trajectory."""
+        import tokmri.experiment as exp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("bench ran a trajectory")
+
+        monkeypatch.setattr(exp, "run_acquisition", refuse)
+
+    def test_bench_zero_steps_exit_one(self, mini_run, tmp_path, capsys,
+                                       no_trajectories):
+        cfg, *_ = mini_run
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(cfg.to_yaml())
+        assert main(["bench", "--config", str(cfg_path), "--steps", "0"]) == 1
+        assert "bench.T" in capsys.readouterr().err
+
+    def test_bench_accel_without_lines_exit_one(self, mini_run, tmp_path,
+                                                capsys, no_trajectories):
+        cfg, *_ = mini_run
+        bad = ExperimentConfig.from_dict(cfg.to_dict())
+        bad.bench.accel = 64  # round(32 * 0.96 / 64) == 0 lines
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(bad.to_yaml())
+        assert main(["bench", "--config", str(cfg_path)]) == 1
+        assert "bench.accel" in capsys.readouterr().err
+
+    def test_run_zero_steps_loads(self, tmp_path):
+        from tokmri.cli import build_parser, load_config
+
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg = mini_config(str(tmp_path / "o"))
+        cfg_path.write_text(cfg.to_yaml())
+        args = build_parser().parse_args(
+            ["run", "--config", str(cfg_path), "--steps", "0"])
+        merged = load_config(args)
+        assert merged.acquisition.T == 0
+        assert merged.bench.T == cfg.bench.T
 
     def test_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

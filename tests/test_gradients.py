@@ -9,10 +9,10 @@ from tokmri.gradients import (
     backward_to_kspace,
     line_gradient_scores,
     pipeline_forward,
-    total_entropy_loss,
 )
 from tokmri.model import TokenDistribution
 from tokmri.phantoms import PhantomSpec, random_ellipse_phantom
+from tokmri.policies import patch_entropy
 
 RNG = np.random.default_rng(1234)
 
@@ -21,18 +21,23 @@ def dist_from_probs(probs, stream="re"):
     return TokenDistribution(stream, np.asarray(probs, dtype=float), None)
 
 
+def total_entropy(dist_re, dist_im):
+    """Summed per-position entropy of both streams (nats)."""
+    return float(patch_entropy(dist_re, dist_im, dist_re.L, 1).sum())
+
+
 class TestTotalEntropyLoss:
     def test_one_hot_rows_zero(self):
         probs = np.zeros((5, 4))
         probs[:, 2] = 1.0
         d = dist_from_probs(probs)
-        assert total_entropy_loss(d, d) == 0.0
+        assert total_entropy(d, d) == 0.0
 
     def test_uniform_value(self):
         probs = np.full((16, 256), 1.0 / 256)
         d = dist_from_probs(probs)
         expect = 2 * 16 * math.log(256)
-        assert abs(total_entropy_loss(d, d) - expect) < 1e-9
+        assert abs(total_entropy(d, d) - expect) < 1e-9
 
     def test_mixed_hand_case(self):
         # one uniform row (K=4), rest one-hot, single stream counted once
@@ -42,7 +47,7 @@ class TestTotalEntropyLoss:
         probs[2, 3] = 1.0
         d = dist_from_probs(probs)
         zero = dist_from_probs(np.eye(4)[:3])
-        assert abs(total_entropy_loss(d, zero) - math.log(4)) < 1e-12
+        assert abs(total_entropy(d, zero) - math.log(4)) < 1e-12
 
     def test_matches_logit_path(self):
         logits = RNG.standard_normal((6, 9))
@@ -50,8 +55,8 @@ class TestTotalEntropyLoss:
         p /= p.sum(axis=1, keepdims=True)
         from_probs = dist_from_probs(p)
         from_logits = TokenDistribution("re", p, logits)
-        assert abs(total_entropy_loss(from_probs, from_probs)
-                   - total_entropy_loss(from_logits, from_logits)) < 1e-9
+        assert abs(total_entropy(from_probs, from_probs)
+                   - total_entropy(from_logits, from_logits)) < 1e-9
 
 
 class TestBackwardToKspace:
@@ -166,17 +171,3 @@ class TestLineGradientScores:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
             line_gradient_scores(np.array([[np.inf, 0.0]]))
-
-
-class TestGradDump:
-    def test_magnitude_ctns_dump(self, toy_setup, tmp_path):
-        from tokmri.storage import load_ctns
-
-        tok, model = toy_setup
-        img = random_ellipse_phantom(PhantomSpec(size=16, n_ellipses=3, seed=13))
-        ksp = acquire(img, make_center_mask(16, 0.25))
-        grad = backward_to_kspace(pipeline_forward(ksp, tok, model))
-        path = tmp_path / "grad.ctns"
-        grad.save_magnitude(path)
-        back = load_ctns(path)
-        assert np.array_equal(back.real, grad.magnitude)

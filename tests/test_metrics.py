@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tokmri.errors import GeometryError, ShapeMismatchError, UndefinedMetricError
-from tokmri.metrics import MetricReport, evaluate, nmse, psnr, ssim
+from tokmri.metrics import evaluate, nmse, psnr, ssim
 
 RNG = np.random.default_rng(55)
 
@@ -112,15 +112,6 @@ class TestSSIM:
 
 
 class TestReport:
-    def test_summary_means(self):
-        report = MetricReport()
-        report.add("a", psnr=30.0, ssim=0.9, nmse=0.1)
-        report.add("b", psnr=40.0, ssim=0.7, nmse=0.3)
-        summary = report.summary()
-        assert summary["mean"]["psnr"] == 35.0
-        assert abs(summary["mean"]["nmse"] - 0.2) < 1e-15
-        assert abs(summary["std"]["ssim"] - 0.1) < 1e-12
-
     def test_evaluate_bundle(self):
         ref = RNG.random((16, 16)) + 0.1
         vals = evaluate(ref, ref)

@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from tokmri import autodiff as ad
+from tokmri.autodiff import Tape
 from tokmri.errors import ConfigError, ShapeMismatchError, TrainingDivergedError
+from tokmri.fourier import NoiseSpec, make_center_mask
 from tokmri.model import (
     LatentTransformer,
     RandomMaskSampler,
     TokenDistribution,
     TransformerConfig,
     batch_loss_and_grads,
-    cross_entropy,
-    example_loss_and_grads,
-    fuse_streams,
+    build_forward,
     predicted_tokens,
     reconstruct,
     train_model,
@@ -35,23 +36,44 @@ def grid(arr, gh, gw):
     return LatentGrid(np.asarray(arr, dtype=float), gh, gw)
 
 
+def make_model(layers=1, heads=2, embed=16, ffn=32, D=8, L=4, K=8, seed=0):
+    cfg = TransformerConfig(layers=layers, heads=heads, embed_dim=embed,
+                            ffn_dim=ffn)
+    return LatentTransformer.init(cfg, latent_dim=D, seq_len=L,
+                                  codebook_size=K, seed=seed)
+
+
+def fused_rows(model, q_re, q_im):
+    """Value of the trunk's `fuse` node (layer norm of the stream sum)."""
+    tape = Tape()
+    build_forward(tape, model.source_params(tape), model.cfg,
+                  tape.source(q_re.vectors), tape.source(q_im.vectors))
+    node = next(n for n in tape.nodes if n.name == "fuse")
+    return tape.val(node.out_id)
+
+
 class TestFuseStreams:
     def test_zero_second_stream_is_layer_norm(self):
         q = grid(RNG.standard_normal((4, 6)), 2, 2)
         z = grid(np.zeros((4, 6)), 2, 2)
-        fused = fuse_streams(q, z)
-        rows = fused
+        rows = fused_rows(make_model(D=6), q, z)
         assert np.allclose(rows.mean(axis=1), 0, atol=1e-12)
 
     def test_symmetry(self):
+        # a + b == b + a exactly, so swapped streams give identical logits
+        model = make_model(D=6)
+        for name in model.params:
+            model.params[name] = model.params[name] + RNG.normal(
+                scale=0.2, size=model.params[name].shape)
         a = grid(RNG.standard_normal((4, 6)), 2, 2)
         b = grid(RNG.standard_normal((4, 6)), 2, 2)
-        assert np.array_equal(fuse_streams(a, b), fuse_streams(b, a))
+        for d_ab, d_ba in zip(model.predict(a, b), model.predict(b, a)):
+            assert np.array_equal(d_ab.logits, d_ba.logits)
 
     def test_hand_computed_row(self):
         a = grid([[1.0, 2.0, 3.0, 4.0]], 1, 1)
         b = grid([[0.0, 0.0, 0.0, 0.0]], 1, 1)
-        fused = fuse_streams(a, b)
+        fused = fused_rows(make_model(D=4, L=1), a, b)
         # mean 2.5, population std sqrt(1.25); eps shifts it negligibly
         expect = (np.array([1, 2, 3, 4]) - 2.5) / math.sqrt(1.25 + 1e-5)
         assert np.allclose(fused[0], expect, atol=1e-6)
@@ -62,14 +84,7 @@ class TestFuseStreams:
         a = grid(np.zeros((4, 6)), 2, 2)
         b = grid(np.zeros((4, 5)), 2, 2)
         with pytest.raises(ShapeMismatchError):
-            fuse_streams(a, b)
-
-
-def make_model(layers=1, heads=2, embed=16, ffn=32, D=8, L=4, K=8, seed=0):
-    cfg = TransformerConfig(layers=layers, heads=heads, embed_dim=embed,
-                            ffn_dim=ffn)
-    return LatentTransformer.init(cfg, latent_dim=D, seq_len=L,
-                                  codebook_size=K, seed=seed)
+            make_model(D=6).predict(a, b)
 
 
 class TestPredict:
@@ -133,21 +148,25 @@ class TestPredictedTokens:
         probs = np.zeros((1, 8))
         probs[0, 7] = 1.0
         dist = TokenDistribution("re", probs, np.log(probs + 1e-300))
-        assert np.array_equal(predicted_tokens(dist, cb).vectors[0],
+        assert np.array_equal(predicted_tokens(dist, cb, 1, 1).vectors[0],
                               cb.entries[7])
 
     def test_uniform_tie_breaks_to_zero(self):
         cb = Codebook(RNG.standard_normal((8, 4)))
         probs = np.full((1, 8), 1.0 / 8)
         dist = TokenDistribution("re", probs, None)
-        assert np.array_equal(predicted_tokens(dist, cb).vectors[0],
+        assert np.array_equal(predicted_tokens(dist, cb, 1, 1).vectors[0],
                               cb.entries[0])
 
     def test_argmax(self):
         cb = Codebook(RNG.standard_normal((3, 2)))
         dist = TokenDistribution("im", np.array([[0.1, 0.7, 0.2]]), None)
-        assert np.array_equal(predicted_tokens(dist, cb).vectors[0],
+        assert np.array_equal(predicted_tokens(dist, cb, 1, 1).vectors[0],
                               cb.entries[1])
+
+
+def cross_entropy(logits, targets):
+    return ad.cross_entropy_from_logits(np.asarray(logits), targets)[0]
 
 
 class TestCrossEntropy:
@@ -211,16 +230,16 @@ class TestTrainingGradients:
         for name in model.params:
             model.params[name] = model.params[name] + rng.normal(
                 scale=0.3, size=model.params[name].shape)
-        q_re = grid(rng.standard_normal((4, 8)), 2, 2)
-        q_im = grid(rng.standard_normal((4, 8)), 2, 2)
+        q_re = rng.standard_normal((4, 8))
+        q_im = rng.standard_normal((4, 8))
         idx_re = rng.integers(0, 8, size=4)
         idx_im = rng.integers(0, 8, size=4)
-        _, grads = example_loss_and_grads(model, q_re, q_im, idx_re, idx_im)
+        _, grads = batch_loss_and_grads(model, q_re, q_im, idx_re, idx_im)
 
         def loss_with(params):
             saved = model.params
             model.params = params
-            val, _ = example_loss_and_grads(model, q_re, q_im, idx_re, idx_im)
+            val, _ = batch_loss_and_grads(model, q_re, q_im, idx_re, idx_im)
             model.params = saved
             return val
 
@@ -241,11 +260,11 @@ class TestTrainingGradients:
         rng = np.random.default_rng(6)
         model = make_model(layers=1, heads=1, embed=8, ffn=16, D=4, L=2, K=4,
                            seed=2)
-        q_re = grid(rng.standard_normal((2, 4)), 1, 2)
-        q_im = grid(rng.standard_normal((2, 4)), 1, 2)
+        q_re = rng.standard_normal((2, 4))
+        q_im = rng.standard_normal((2, 4))
         idx_re = np.array([1, 3])
         idx_im = np.array([0, 2])
-        _, grads = example_loss_and_grads(model, q_re, q_im, idx_re, idx_im)
+        _, grads = batch_loss_and_grads(model, q_re, q_im, idx_re, idx_im)
         g = grads["head_re.w"]
         for i in RNG.choice(g.size, size=12, replace=False):
             h = 1e-6
@@ -255,9 +274,9 @@ class TestTrainingGradients:
             dn["head_re.w"].flat[i] -= h
             saved = model.params
             model.params = up
-            lu, _ = example_loss_and_grads(model, q_re, q_im, idx_re, idx_im)
+            lu, _ = batch_loss_and_grads(model, q_re, q_im, idx_re, idx_im)
             model.params = dn
-            ld, _ = example_loss_and_grads(model, q_re, q_im, idx_re, idx_im)
+            ld, _ = batch_loss_and_grads(model, q_re, q_im, idx_re, idx_im)
             model.params = saved
             fd = (lu - ld) / (2 * h)
             assert abs(fd - g.flat[i]) < 1e-5 * max(abs(fd), abs(g.flat[i]), 1.0)
@@ -330,20 +349,50 @@ class TestTrainModel:
         with pytest.raises(ConfigError):
             train_model([], tok, TransformerConfig(), epochs=1)
 
-    def test_resume_reproduces_training_bit_identically(self):
+    @staticmethod
+    def check_resume_bit_identical(noise):
         images = tiny_dataset(6)
         tok = tiny_tokenizer(images)
         cfg = TransformerConfig(layers=1, heads=2, embed_dim=32, ffn_dim=64)
-        full = train_model(images, tok, cfg, epochs=4, batch_size=4, lr=1e-3,
-                           seed=9)
-        half = train_model(images, tok, cfg, epochs=2, batch_size=4, lr=1e-3,
-                           seed=9)
-        resumed = train_model(images, tok, cfg, epochs=4, batch_size=4,
-                              lr=1e-3, seed=9, resume=half)
+        kw = dict(batch_size=4, lr=1e-3, seed=9, noise=noise)
+        full = train_model(images, tok, cfg, epochs=4, **kw)
+        half = train_model(images, tok, cfg, epochs=2, **kw)
+        resumed = train_model(images, tok, cfg, epochs=4, resume=half, **kw)
         assert [t for t in full.trace] == [t for t in resumed.trace]
         for k in full.model.params:
             assert np.array_equal(full.model.params[k],
                                   resumed.model.params[k])
+
+    def test_resume_reproduces_training_bit_identically(self):
+        self.check_resume_bit_identical(NoiseSpec())
+
+    def test_resume_with_noise_bit_identical(self):
+        self.check_resume_bit_identical(NoiseSpec(0.05))
+
+    def test_noise_field_fresh_per_example_and_epoch(self, monkeypatch):
+        import tokmri.model as model_mod
+
+        real_acquire = model_mod.acquire
+        center = make_center_mask(32, RandomMaskSampler().rho_c).flags
+        seen = []
+
+        def spy(img, mask, *args, **kwargs):
+            ksp = real_acquire(img, mask, *args, **kwargs)
+            # the center lines are always sampled: compare their noise
+            seen.append((ksp - real_acquire(img, mask))[center])
+            return ksp
+
+        monkeypatch.setattr(model_mod, "acquire", spy)
+        images = tiny_dataset(2)
+        tok = tiny_tokenizer(images)
+        cfg = TransformerConfig(layers=1, heads=2, embed_dim=32, ffn_dim=64)
+        train_model(images, tok, cfg, epochs=2, batch_size=2, seed=0,
+                    noise=NoiseSpec(0.1))
+        assert len(seen) == 4  # two examples in each of two epochs
+        assert all(np.all(eta != 0) for eta in seen)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert not np.array_equal(seen[i], seen[j]), (i, j)
 
     def test_overfit_smoke_500_steps(self):
         # 10 images, 500 optimizer steps: token CE must drop below 0.1 ln K

@@ -21,7 +21,6 @@ from tokmri.tokenizer import (
     normalize_channel,
     patchify,
     quantize,
-    ste_quantize_grad,
     train_tokenizer,
     unpatchify,
 )
@@ -196,15 +195,6 @@ class TestEncoderDecoder:
         assert np.allclose(tok.decode(tok.encode(x)), x, atol=1e-8)
 
 
-class TestSTE:
-    def test_identity(self):
-        g = np.random.default_rng(9).standard_normal((5, 4))
-        assert np.array_equal(ste_quantize_grad(g), g)
-
-    def test_zero(self):
-        assert np.array_equal(ste_quantize_grad(np.zeros((2, 2))), np.zeros((2, 2)))
-
-
 class TestKMeans:
     def test_distinct_points_zero_distortion(self):
         rng = np.random.default_rng(10)
@@ -217,6 +207,18 @@ class TestKMeans:
         rng = np.random.default_rng(11)
         data = rng.standard_normal((200, 4))
         _, _, trace = kmeans(data, 10, iters=30, seed=1)
+        assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="kmeans stops after one Lloyd pass: its first stopping test "
+               "compares inf with inf (FOUND line on kmeans in CHANGES.md)",
+    )
+    def test_runs_lloyd_passes_until_converged(self):
+        rng = np.random.default_rng(11)
+        data = rng.standard_normal((200, 4))
+        _, _, trace = kmeans(data, 10, iters=30, seed=1)
+        assert len(trace) > 1
         assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_hand_case_two_clusters(self):
