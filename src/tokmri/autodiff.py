@@ -94,20 +94,33 @@ def channel_norm_vjp(cache, g):
     return inv * (g - g.mean() - z * np.mean(g * z))
 
 
-def softmax(z):
-    """Row-wise softmax, stable for logits of any magnitude."""
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(z, out=None):
+    """Row-wise softmax, stable for logits of any magnitude.
+
+    Builds the result in one array: a new one, or `out` (which may be `z`).
+    """
+    out = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def softmax_vjp(p, g):
-    return p * (g - np.sum(g * p, axis=-1, keepdims=True))
+    t = g * p
+    s = t.sum(axis=-1, keepdims=True)
+    np.subtract(g, s, out=t)
+    t *= p
+    return t
 
 
-def log_softmax(z):
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+def softmax_and_log(z):
+    """Row-wise softmax and log-softmax from one shifted exponential."""
+    logp = z - z.max(axis=-1, keepdims=True)
+    p = np.exp(logp)
+    s = p.sum(axis=-1, keepdims=True)
+    p /= s
+    logp -= np.log(s)
+    return p, logp
 
 
 def gelu_forward(x):
@@ -134,8 +147,9 @@ def attention_forward(y, wq, bq, wk, bk, wv, bv, wo, bo, heads):
     q = (yb @ wq + bq).reshape(n, L, heads, dh).transpose(0, 2, 1, 3)
     k = (yb @ wk + bk).reshape(n, L, heads, dh).transpose(0, 2, 1, 3)
     v = (yb @ wv + bv).reshape(n, L, heads, dh).transpose(0, 2, 1, 3)
-    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(dh)
-    probs = softmax(scores)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores /= math.sqrt(dh)
+    probs = softmax(scores, out=scores)
     ctx = probs @ v  # (n, heads, L, dh)
     o = ctx.transpose(0, 2, 1, 3).reshape(n, L, E)
     out = (o @ wo + bo).reshape(*lead, L, E)
@@ -153,7 +167,8 @@ def attention_vjp(cache, wq, wk, wv, wo, g):
     gc = g_o.reshape(n, L, heads, dh).transpose(0, 2, 1, 3)
     g_probs = gc @ v.transpose(0, 1, 3, 2)
     g_v = probs.transpose(0, 1, 3, 2) @ gc
-    g_scores = softmax_vjp(probs, g_probs) / math.sqrt(dh)
+    g_scores = softmax_vjp(probs, g_probs)
+    g_scores /= math.sqrt(dh)
     g_q = g_scores @ k
     g_k = g_scores.transpose(0, 1, 3, 2) @ q
     gq = g_q.transpose(0, 2, 1, 3).reshape(n, L, E)
@@ -190,8 +205,7 @@ def ffn_vjp(cache, w1, w2, g):
 
 def entropy_sum_from_logits(logits):
     """Total Shannon entropy (nats) of the row-wise softmax distributions."""
-    p = softmax(logits)
-    logp = log_softmax(logits)
+    p, logp = softmax_and_log(logits)
     h = -np.sum(p * logp, axis=-1)
     return float(h.sum()), (p, logp, h)
 
@@ -214,10 +228,10 @@ def cross_entropy_from_logits(logits, targets):
         )
     if np.any(targets < 0) or np.any(targets >= logits.shape[-1]):
         raise ShapeMismatchError("target index out of codebook range")
-    logp = log_softmax(logits)
+    p, logp = softmax_and_log(logits)
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)
     loss = float(-picked.mean())
-    return loss, (softmax(logits), targets)
+    return loss, (p, targets)
 
 
 def cross_entropy_vjp(cache, g):
@@ -244,9 +258,16 @@ class TapeNode:
 
 
 class Tape:
-    """Ordered record of the forward pass with one backward rule per node."""
+    """Ordered record of the forward pass with one backward rule per node.
 
-    def __init__(self):
+    With ``record=False`` the tape keeps every value but no node, so the
+    replay closures and backward caches (attention probabilities among them)
+    are dropped as soon as each op returns.  Such a tape serves inference
+    only: `replay_check` and `backward` raise on it.
+    """
+
+    def __init__(self, record: bool = True):
+        self.record = record
         self._values: list[np.ndarray] = []
         self.nodes: list[TapeNode] = []
 
@@ -259,11 +280,18 @@ class Tape:
 
     def push(self, name, in_ids, out_value, replay, backward) -> int:
         out_id = self.source(out_value, name)
-        self.nodes.append(TapeNode(name, out_id, tuple(in_ids), replay, backward))
+        if self.record:
+            self.nodes.append(TapeNode(name, out_id, tuple(in_ids), replay,
+                                       backward))
         return out_id
+
+    def _require_record(self, what: str) -> None:
+        if not self.record:
+            raise TapeConsistencyError(f"{what} needs a recording tape")
 
     def replay_check(self) -> None:
         """Re-execute every node on its recorded inputs; require bit equality."""
+        self._require_record("replay_check")
         for node in self.nodes:
             redone = node.replay(*[self._values[i] for i in node.in_ids])
             stored = self._values[node.out_id]
@@ -276,6 +304,7 @@ class Tape:
 
     def backward(self, out_id: int, seed=None) -> dict[int, np.ndarray]:
         """Reverse sweep from `out_id`; returns gradients keyed by value id."""
+        self._require_record("backward")
         if seed is None:
             seed = np.ones_like(self._values[out_id], dtype=np.float64)
         grads: dict[int, np.ndarray] = {out_id: np.asarray(seed)}

@@ -7,8 +7,10 @@ serialization unchanged.
 
 from __future__ import annotations
 
+import types
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -111,13 +113,14 @@ class ExperimentConfig:
             if hasattr(current, "__dataclass_fields__"):
                 if not isinstance(value, dict):
                     raise ConfigError(f"config section {key!r} must be a mapping")
-                known = {f.name for f in fields(current)}
+                hints = get_type_hints(type(current))
                 for sub, sub_val in value.items():
-                    if sub not in known:
+                    if sub not in hints:
                         raise ConfigError(f"unknown config key {key}.{sub}")
-                    setattr(current, sub, sub_val)
+                    setattr(current, sub,
+                            _typed(f"{key}.{sub}", sub_val, hints[sub]))
             else:
-                setattr(cfg, key, value)
+                setattr(cfg, key, _typed(key, value, get_type_hints(cls)[key]))
         cfg.validate()
         return cfg
 
@@ -154,6 +157,42 @@ class ExperimentConfig:
                 raise ConfigError(f"bench.{key} must be an integer >= 1")
         if not self.acquisition.seeds:
             raise ConfigError("at least one acquisition seed is required")
+
+
+def _conforms(value, tp) -> bool:
+    """Whether a YAML value has the declared type of a config key: int,
+    float (an int is accepted), str, bool, None, a list of these, or a union."""
+    origin = get_origin(tp)
+    if origin is list:
+        (item,) = get_args(tp)
+        return isinstance(value, list) and all(_conforms(v, item) for v in value)
+    if origin in (Union, types.UnionType):
+        return any(_conforms(value, arg) for arg in get_args(tp))
+    if tp is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return tp is bool
+    if tp is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, tp)
+
+
+def _type_name(tp) -> str:
+    origin = get_origin(tp)
+    if origin is list:
+        return f"a list of {_type_name(get_args(tp)[0])}"
+    if origin in (Union, types.UnionType):
+        return " or ".join(_type_name(arg) for arg in get_args(tp))
+    return "null" if tp is type(None) else tp.__name__
+
+
+def _typed(name: str, value, tp):
+    """`value` checked against the declared type; an int becomes a float
+    where a float is declared."""
+    if not _conforms(value, tp):
+        raise ConfigError(f"config key {name} must be {_type_name(tp)}, "
+                          f"got {value!r}")
+    return float(value) if tp is float else value
 
 
 def default_config() -> ExperimentConfig:

@@ -101,10 +101,20 @@ def load_split(cfg: ExperimentConfig, split: str) -> list[tuple[str, np.ndarray]
     if not manifest_path.exists():
         raise ConfigError(f"missing data manifest: {manifest_path} (run gen-data)")
     manifest = read_json(manifest_path)
-    return [
-        (entry["id"], load_ctns(data_dir / entry["file"]))
-        for entry in manifest["splits"][split]
-    ]
+    try:
+        entries = manifest["splits"][split]
+    except (KeyError, TypeError):
+        raise ConfigError(f"{manifest_path}: no split {split!r}") from None
+    images = []
+    for i, entry in enumerate(entries):
+        for key in ("id", "file"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise ConfigError(
+                    f"{manifest_path}: split {split!r} entry {i} has no "
+                    f"{key!r} key"
+                )
+        images.append((entry["id"], load_ctns(data_dir / entry["file"])))
+    return images
 
 
 # ---------------------------------------------------------------------------

@@ -250,9 +250,13 @@ class LatentTransformer:
 
     def predict(self, q_re: LatentGrid, q_im: LatentGrid
                 ) -> tuple[TokenDistribution, TokenDistribution]:
-        """Inference pass; deterministic given weights and inputs."""
+        """Inference pass; deterministic given weights and inputs.
+
+        Runs `build_forward` on a non-recording tape: only the logits are
+        needed, so no backward cache is kept.
+        """
         self._check_geometry(q_re, q_im)
-        tape = Tape()
+        tape = Tape(record=False)
         pids = self.source_params(tape)
         rid = tape.source(q_re.vectors, "q_re")
         iid = tape.source(q_im.vectors, "q_im")

@@ -89,6 +89,8 @@ def load_ctns(path: str | Path) -> np.ndarray:
     if pairs.size != h * w * 2:
         raise InvalidInputError(f"{path}: payload size mismatch")
     pairs = pairs.reshape(h, w, 2).astype(np.float64)
+    if not np.all(np.isfinite(pairs)):
+        raise InvalidInputError(f"{path}: payload holds NaN or Inf values")
     return pairs[..., 0] + 1j * pairs[..., 1]
 
 

@@ -29,6 +29,9 @@ from .errors import (
 from .storage import atomic_write_text, read_json
 
 CHANNEL_NORM_EPS = 1e-12
+# Rows per block of the nearest-entry search: one block's distance matrix is
+# 2 MB at K=256, and a per-image call (64 or 256 rows) is a single block.
+NEAREST_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -136,14 +139,21 @@ def nearest_entry_indices(vectors: np.ndarray, entries: np.ndarray) -> np.ndarra
     """Index of the L2-nearest entry per row; ties go to the lowest index.
 
     Uses the |v|^2 - 2 v.e + |e|^2 expansion (one matmul) rather than
-    materializing all pairwise differences.
+    materializing all pairwise differences, over blocks of
+    `NEAREST_BLOCK_ROWS` rows so that memory stays bounded for any row count.
+    The last block ends at the last row and overlaps the one before, so no
+    block has a single row: NumPy sends a one-row product down a
+    matrix-vector BLAS path whose last bits differ from the full product's.
     """
-    d2 = (
-        np.sum(vectors * vectors, axis=1)[:, None]
-        - 2.0 * vectors @ entries.T
-        + np.sum(entries * entries, axis=1)[None, :]
-    )
-    return np.argmin(d2, axis=1)  # argmin takes the first (lowest) index
+    n = vectors.shape[0]
+    e2 = np.sum(entries * entries, axis=1)[None, :]
+    out = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, NEAREST_BLOCK_ROWS):
+        lo = max(0, min(lo, n - NEAREST_BLOCK_ROWS))
+        v = vectors[lo:lo + NEAREST_BLOCK_ROWS]
+        d2 = np.sum(v * v, axis=1)[:, None] - 2.0 * v @ entries.T + e2
+        out[lo:lo + v.shape[0]] = np.argmin(d2, axis=1)  # first (lowest) index
+    return out
 
 
 def quantize(lat: LatentGrid, cb: Codebook) -> tuple[np.ndarray, LatentGrid]:
@@ -264,10 +274,18 @@ def kmeans(
         raise ConfigError(f"cannot fit K={K} centroids to {n} points")
     rng = np.random.default_rng(seed)
 
-    # k-means++ seeding
+    # k-means++ seeding; `diff` and `dist` are reused for every new centroid
     centroids = np.empty((K, data.shape[1]), dtype=np.float64)
+    diff = np.empty_like(data)
+    dist = np.empty(n, dtype=np.float64)
+
+    def sq_dist(centroid):
+        np.subtract(data, centroid, out=diff)
+        np.square(diff, out=diff)
+        return np.sum(diff, axis=1, out=dist)
+
     centroids[0] = data[rng.integers(n)]
-    closest = np.sum((data - centroids[0]) ** 2, axis=1)
+    closest = sq_dist(centroids[0]).copy()
     for k in range(1, K):
         total = closest.sum()
         if total <= 0:
@@ -276,7 +294,7 @@ def kmeans(
             continue
         probs = closest / total
         centroids[k] = data[rng.choice(n, p=probs)]
-        closest = np.minimum(closest, np.sum((data - centroids[k]) ** 2, axis=1))
+        np.minimum(closest, sq_dist(centroids[k]), out=closest)
 
     trace: list[float] = []
     prev = np.inf
@@ -319,7 +337,14 @@ def train_tokenizer(
     channels = [np.asarray(c, dtype=np.float64) for c in dataset]
     if not channels:
         raise ConfigError("training dataset is empty")
-    patches = np.concatenate([patchify(c, p) for c in channels], axis=0)
+    # one (N, p²) matrix filled channel by channel; patchify rejects a channel
+    # that p does not tile before any of its rows is written
+    patches = np.empty((sum(c.size // (p * p) for c in channels), p * p))
+    row = 0
+    for c in channels:
+        block = patchify(c, p)
+        patches[row:row + block.shape[0]] = block
+        row += block.shape[0]
     if K > patches.shape[0]:
         raise ConfigError(f"K={K} exceeds the {patches.shape[0]} training patches")
     if D > p * p:
@@ -346,10 +371,13 @@ def train_tokenizer(
         p=p, enc_w=enc_w, enc_b=enc_b, dec_w=dec_w, dec_b=dec_b,
         codebook=Codebook(centroids),
     )
-    recon = latents @ dec_w.T + dec_b
+    recon = latents @ dec_w.T
+    recon += dec_b
+    recon -= patches
+    np.square(recon, out=recon)
     report = {
         "n_patches": int(patches.shape[0]),
-        "recon_mse": float(np.mean((recon - patches) ** 2)),
+        "recon_mse": float(np.mean(recon)),
         "quant_distortion": float(
             np.mean(np.sum((latents - centroids[assign]) ** 2, axis=1))
         ),

@@ -226,6 +226,63 @@ class TestPrimitiveAdjoints:
                 assert abs(fd - get(g[r, c])) < 1e-8
 
 
+def two_pass_softmax(z):
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def two_pass_log_softmax(z):
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+
+class TestFusedSoftmax:
+    """The one-buffer kernels equal the two-pass formulas bit for bit."""
+
+    rng = np.random.default_rng(5)
+    Z = rng.standard_normal((3, 16, 32)) * 4.0
+
+    def test_softmax_matches_and_leaves_input(self):
+        z = self.Z.copy()
+        p = ad.softmax(z)
+        assert np.array_equal(z, self.Z)
+        assert np.array_equal(p, two_pass_softmax(self.Z))
+
+    def test_softmax_vjp_matches(self):
+        p = two_pass_softmax(self.Z)
+        g = self.rng.standard_normal(self.Z.shape)
+        old = p * (g - np.sum(g * p, axis=-1, keepdims=True))
+        assert np.array_equal(ad.softmax_vjp(p, g), old)
+
+    def test_entropy_sum_matches_two_pass(self):
+        p, logp = two_pass_softmax(self.Z), two_pass_log_softmax(self.Z)
+        h = -np.sum(p * logp, axis=-1)
+        total, (p2, logp2, h2) = ad.entropy_sum_from_logits(self.Z)
+        assert total == float(h.sum())
+        assert np.array_equal(p2, p)
+        assert np.array_equal(logp2, logp)
+        assert np.array_equal(h2, h)
+
+    def test_cross_entropy_matches_two_pass(self):
+        targets = self.rng.integers(0, self.Z.shape[-1],
+                                    size=self.Z.shape[:-1])
+        picked = np.take_along_axis(two_pass_log_softmax(self.Z),
+                                    targets[..., None], axis=-1)
+        loss, (p, _) = ad.cross_entropy_from_logits(self.Z, targets)
+        assert loss == float(-picked.mean())
+        assert np.array_equal(p, two_pass_softmax(self.Z))
+
+    def test_attention_probs_match_two_pass(self):
+        E, heads, L = 8, 2, 5
+        y = self.rng.standard_normal((2, L, E))
+        ws = [self.rng.standard_normal((E, E)) * 0.5 if i % 2 == 0
+              else self.rng.standard_normal(E) for i in range(8)]
+        _, (_, q, k, _, probs, _) = ad.attention_forward(y, *ws, heads)
+        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(E // heads)
+        assert np.array_equal(probs, two_pass_softmax(scores))
+
+
 class TestTape:
     def _small_graph(self):
         tape = Tape()
@@ -285,6 +342,20 @@ class TestTape:
         loss2 = ad.t_entropy_sum(tape2, x2)
         g2 = tape2.backward(loss2)[x2]
         assert np.allclose(g, 2.0 * g2, atol=1e-12)
+
+
+    def test_non_recording_tape_keeps_values_only(self):
+        tape = Tape(record=False)
+        x = tape.source(np.random.default_rng(6).standard_normal((3, 4)), "x")
+        loss = ad.t_entropy_sum(tape, x)
+        ref = Tape()
+        ref_loss = ad.t_entropy_sum(ref, ref.source(tape.val(x)))
+        assert tape.val(loss) == ref.val(ref_loss)
+        assert tape.nodes == []
+        with pytest.raises(TapeConsistencyError, match="backward"):
+            tape.backward(loss)
+        with pytest.raises(TapeConsistencyError, match="replay_check"):
+            tape.replay_check()
 
 
 class TestSTENode:

@@ -314,6 +314,34 @@ class TestCLI:
         assert main(["gen-data", "--config", str(cfg_path)]) == 1
         assert "'data'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, key", [
+        ("out_dir: 5\n", "out_dir"),
+        ("acquisition:\n  seeds: 3\n", "acquisition.seeds"),
+        ("train:\n  epochs: '2'\n", "train.epochs"),
+    ])
+    def test_wrong_scalar_type_exit_one(self, tmp_path, capsys, doc, key):
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text(doc)
+        assert main(["gen-data", "--config", str(cfg_path)]) == 1
+        assert f"config key {key} must be" in capsys.readouterr().err
+
+    def test_int_accepted_for_float_key(self):
+        cfg = ExperimentConfig.from_dict({"train": {"lr": 1}})
+        assert cfg.train.lr == 1.0 and isinstance(cfg.train.lr, float)
+
+    def test_manifest_entry_without_file_exit_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg = mini_config(str(tmp_path / "out"))
+        cfg.data.n_train, cfg.data.n_val, cfg.data.n_test = 2, 0, 1
+        cfg_path.write_text(cfg.to_yaml())
+        assert main(["gen-data", "--config", str(cfg_path)]) == 0
+        manifest_path = tmp_path / "out" / "data" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["splits"]["train"][1]["file"]
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert "split 'train' entry 1 has no 'file' key" in capsys.readouterr().err
+
     def test_removed_workers_key_exit_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "old.yaml"
         cfg_path.write_text(f"out_dir: {tmp_path / 'out'}\nworkers: 2\n")

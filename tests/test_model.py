@@ -135,6 +135,23 @@ class TestPredict:
         assert np.array_equal(a.probs, b.probs)
         assert np.array_equal(a.logits, b.logits)
 
+    def test_logits_equal_recorded_forward(self):
+        rng = np.random.default_rng(6)
+        model = make_model(layers=2, seed=6)
+        for name in model.params:
+            model.params[name] = model.params[name] + rng.normal(
+                scale=0.2, size=model.params[name].shape)
+        q_re = grid(rng.standard_normal((4, 8)), 2, 2)
+        q_im = grid(rng.standard_normal((4, 8)), 2, 2)
+        tape = Tape()
+        lre, lim = build_forward(tape, model.source_params(tape), model.cfg,
+                                 tape.source(q_re.vectors),
+                                 tape.source(q_im.vectors))
+        dre, dim_ = model.predict(q_re, q_im)
+        assert np.array_equal(dre.logits, tape.val(lre))
+        assert np.array_equal(dim_.logits, tape.val(lim))
+        assert np.array_equal(dre.probs, ad.softmax(tape.val(lre)))
+
     def test_geometry_mismatch(self):
         model = make_model()
         q = grid(RNG.standard_normal((9, 8)), 3, 3)

@@ -56,6 +56,16 @@ def test_ctns_rejects_truncation(tmp_path):
         load_ctns(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ctns_rejects_non_finite_payload(tmp_path, bad):
+    arr = np.ones((3, 4), dtype=complex)
+    arr[1, 2] = complex(1.0, bad)
+    path = tmp_path / "nan.ctns"
+    save_ctns(path, arr)
+    with pytest.raises(InvalidInputError, match="nan.ctns"):
+        load_ctns(path)
+
+
 def test_mask_json_round_trip(tmp_path):
     mask = make_center_mask(32, 0.1).with_lines([0, 5, 31])
     path = tmp_path / "mask.json"

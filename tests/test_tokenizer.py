@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,9 @@ from tokmri.tokenizer import (
     Tokenizer,
     channel_stats,
     denormalize_channel,
+    NEAREST_BLOCK_ROWS,
     kmeans,
+    nearest_entry_indices,
     normalize_channel,
     patchify,
     quantize,
@@ -114,6 +118,76 @@ class TestQuantize:
         for k in range(cb.K):
             d_k = np.sum((lat.vectors - cb.entries[k]) ** 2, axis=1)
             assert np.all(d_chosen <= d_k + 1e-12)
+
+
+def unblocked_nearest(vectors, entries):
+    """The |v|^2 - 2 v.e + |e|^2 expansion over all rows in one product."""
+    d2 = (
+        np.sum(vectors * vectors, axis=1)[:, None]
+        - 2.0 * vectors @ entries.T
+        + np.sum(entries * entries, axis=1)[None, :]
+    )
+    return np.argmin(d2, axis=1)
+
+
+def near_tie_rows(n, entries, rng):
+    """n random rows, with rows on both sides of every block boundary (and
+    the first and last rows) set near the midpoint of two entries: exact
+    midpoints in `exact`, midpoints moved 1e-9 of the gap toward one entry
+    (either one) in `near`."""
+    vectors = rng.standard_normal((n, entries.shape[1])) * 2.0
+    edges = [0, n - 1]
+    for b in range(NEAREST_BLOCK_ROWS, n, NEAREST_BLOCK_ROWS):
+        edges += [b - 2, b - 1, b, b + 1]
+    rows = sorted({r for r in edges if 0 <= r < n})
+    exact, near = vectors.copy(), vectors.copy()
+    for j, r in enumerate(rows):
+        a, b = rng.choice(entries.shape[0], size=2, replace=False)
+        mid = 0.5 * (entries[a] + entries[b])
+        exact[r] = mid
+        near[r] = mid + (1e-9 if j % 2 else -1e-9) * (entries[a] - entries[b])
+    return exact, near, rows
+
+
+class TestBlockedNearestEntry:
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 30001])
+    def test_equals_unblocked_expansion_and_oracle(self, n):
+        rng = np.random.default_rng(n)
+        entries = rng.standard_normal((256, 16)) * 2.0
+        exact, near, tie_rows = near_tie_rows(n, entries, rng)
+        for vectors in (exact, near):
+            assert np.array_equal(nearest_entry_indices(vectors, entries),
+                                  unblocked_nearest(vectors, entries))
+        # the per-row oracle on the near ties and a sample of the rest
+        rows = np.unique(np.concatenate(
+            [tie_rows, rng.choice(n, size=min(n, 200), replace=False)]))
+        got = nearest_entry_indices(near, entries)[rows]
+        assert np.array_equal(got, brute_force_nearest(near[rows], entries))
+
+    def test_row_past_a_block_boundary_matches_unblocked(self):
+        # NumPy computes a one-row product on another BLAS path with other
+        # last bits; exact ties on the row past the boundary would show it
+        rng = np.random.default_rng(7)
+        entries = rng.standard_normal((256, 16)) * 2.0
+        vectors = rng.standard_normal((NEAREST_BLOCK_ROWS + 1, 16)) * 2.0
+        for _ in range(40):
+            a, b = rng.choice(entries.shape[0], size=2, replace=False)
+            vectors[-1] = 0.5 * (entries[a] + entries[b])
+            assert (nearest_entry_indices(vectors, entries)[-1]
+                    == unblocked_nearest(vectors, entries)[-1])
+
+    def test_traced_peak_bounded_for_a_tokenizer_fit(self):
+        # 25,600 latents against K=256: one unblocked distance matrix is 52 MB
+        rng = np.random.default_rng(0)
+        vectors = rng.standard_normal((25_600, 16))
+        entries = rng.standard_normal((256, 16))
+        tracemalloc.start()
+        try:
+            nearest_entry_indices(vectors, entries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 class TestCodebook:
