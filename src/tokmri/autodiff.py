@@ -123,12 +123,21 @@ def softmax_and_log(z):
     return p, logp
 
 
-def gelu_forward(x):
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+def gelu_erf_term(x):
+    """1 + erf(x / sqrt 2), the factor GELU's forward and backward share."""
+    return 1.0 + erf(x / math.sqrt(2.0))
 
 
-def gelu_vjp(x, g):
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+def gelu_forward(x, erf_term, out=None):
+    """0.5 x (1 + erf(x / sqrt 2)) from `erf_term` = `gelu_erf_term(x)`,
+    written to `out` when given."""
+    out = np.multiply(x, 0.5, out=out)
+    out *= erf_term
+    return out
+
+
+def gelu_vjp(x, g, erf_term):
+    cdf = 0.5 * erf_term
     pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return g * (cdf + x * pdf)
 
@@ -186,17 +195,22 @@ def attention_vjp(cache, wq, wk, wv, wo, g):
 
 
 def ffn_forward(z, w1, b1, w2, b2):
+    """GELU feed-forward; the cache keeps the erf term rather than the
+    activation, which the backward rebuilds from it with the same bits."""
     pre = z @ w1 + b1
-    act = gelu_forward(pre)
-    return act @ w2 + b2, (z, pre, act)
+    erf_term = gelu_erf_term(pre)
+    act = gelu_forward(pre, erf_term)
+    return act @ w2 + b2, (z, pre, erf_term)
 
 
 def ffn_vjp(cache, w1, w2, g):
-    z, pre, act = cache
+    z, pre, erf_term = cache
     g_act = g @ w2.T
+    g_pre = gelu_vjp(pre, g_act, erf_term)
+    # the activation is rebuilt in g_act's buffer, which is no longer needed
+    act = gelu_forward(pre, erf_term, out=g_act)
     g_w2 = _flat2(act).T @ _flat2(g)
     g_b2 = _flat2(g).sum(axis=0)
-    g_pre = gelu_vjp(pre, g_act)
     g_z = g_pre @ w1.T
     g_w1 = _flat2(z).T @ _flat2(g_pre)
     g_b1 = _flat2(g_pre).sum(axis=0)

@@ -7,6 +7,7 @@ serialization unchanged.
 
 from __future__ import annotations
 
+import math
 import types
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -135,6 +136,14 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         d, t = self.data, self.tokenizer
+        for section, key in (("data", "size"), ("tokenizer", "K"),
+                             ("tokenizer", "D"), ("tokenizer", "p"),
+                             ("train", "epochs"), ("train", "batch_size")):
+            if getattr(getattr(self, section), key) < 1:
+                raise ConfigError(f"{section}.{key} must be >= 1")
+        if not (math.isfinite(self.train.lr) and self.train.lr > 0):
+            raise ConfigError(
+                f"train.lr must be finite and > 0, got {self.train.lr}")
         if d.size % t.p:
             raise ConfigError(
                 f"patch size {t.p} does not divide image size {d.size}"

@@ -33,7 +33,6 @@ from .errors import (
 from .fourier import (
     NoiseSpec,
     SamplingMask,
-    acquire,
     forward_fft,
     make_center_mask,
     sampling_budget,
@@ -258,14 +257,15 @@ def run_acquisition(
     rng = np.random.default_rng(cfg.seed)
     noise = NoiseSpec(cfg.noise.sigma,
                       seed=int(np.uint64(cfg.noise.seed) ^ np.uint64(cfg.seed)))
-    noise_field = noise.draw(img.shape)
+    # every measurement masks this one noisy k-space, as `acquire` would
+    full_ksp = forward_fft(img) + noise.draw(img.shape)
 
     for t in range(1, cfg.T + 1):
         if remaining <= 0:
             break
         n_t = min(per_step, remaining)
         t0 = time.perf_counter()
-        ksp = acquire(img, mask, noise_field=noise_field)
+        ksp = mask.apply(full_ksp)
 
         if cfg.policy == "geo":
             state = pipeline_forward(ksp, tokenizer, model)
@@ -303,7 +303,7 @@ def run_acquisition(
             time_ms=elapsed_ms,
         ))
 
-    ksp = acquire(img, mask, noise_field=noise_field)
+    ksp = mask.apply(full_ksp)
     zf = tokenize_image(tokenizer, zero_fill(ksp))
     dist_re, dist_im = model.predict(zf.q_re, zf.q_im)
     recon = _reconstruct_from_distributions(

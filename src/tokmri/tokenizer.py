@@ -12,7 +12,9 @@ the stats are returned so reconstruction can invert them.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +34,10 @@ CHANNEL_NORM_EPS = 1e-12
 # Rows per block of the nearest-entry search: one block's distance matrix is
 # 2 MB at K=256, and a per-image call (64 or 256 rows) is a single block.
 NEAREST_BLOCK_ROWS = 1024
+# k-means++ seeding recomputes from differences every expanded distance at
+# most this fraction of max|x|^2 + |c|^2, far above the expansion's rounding
+# error (about D machine epsilons of it).
+SEED_EXACT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -231,16 +237,34 @@ class Tokenizer:
 
     @classmethod
     def load(cls, path: str | Path) -> "Tokenizer":
-        obj = read_json(path)
-        K, D, p = int(obj["K"]), int(obj["D"]), int(obj["p"])
-        return cls(
-            p=p,
-            enc_w=_decode_f64(obj["enc_w"], (D, p * p)),
-            enc_b=_decode_f64(obj["enc_b"], (D,)),
-            dec_w=_decode_f64(obj["dec_w"], (p * p, D)),
-            dec_b=_decode_f64(obj["dec_b"], (p * p,)),
-            codebook=Codebook(_decode_f64(obj["entries"], (K, D))),
-        )
+        """Read a file written by `save`.
+
+        A file that is not a JSON object, or a missing, malformed or
+        non-finite field, raises InvalidInputError naming the file and the
+        field.
+        """
+        try:
+            obj = read_json(path)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InvalidInputError(f"{path}: not a JSON document: {exc}") from None
+        if not isinstance(obj, dict):
+            raise InvalidInputError(f"{path}: expected a JSON object")
+        for key in ("K", "D", "p"):
+            value = obj.get(key)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise InvalidInputError(
+                    f"{path}: field {key!r} must be an integer >= 1, got {value!r}"
+                )
+        K, D, p = obj["K"], obj["D"], obj["p"]
+        shapes = {"enc_w": (D, p * p), "enc_b": (D,), "dec_w": (p * p, D),
+                  "dec_b": (p * p,), "entries": (K, D)}
+        arrays = {name: _decode_f64(path, obj, name, shape)
+                  for name, shape in shapes.items()}
+        try:
+            codebook = Codebook(arrays.pop("entries"))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}: field 'entries': {exc}") from None
+        return cls(p=p, codebook=codebook, **arrays)
 
 
 def _encode_f64(arr: np.ndarray) -> str:
@@ -249,9 +273,24 @@ def _encode_f64(arr: np.ndarray) -> str:
     ).decode("ascii")
 
 
-def _decode_f64(text: str, shape) -> np.ndarray:
-    flat = np.frombuffer(base64.b64decode(text), dtype="<f8")
-    return flat.reshape(shape).astype(np.float64)
+def _decode_f64(path, obj: dict, name: str, shape: tuple) -> np.ndarray:
+    """Field `name` of a tokenizer file as a finite float64 array of `shape`."""
+    text = obj.get(name)
+    if not isinstance(text, str):
+        raise InvalidInputError(f"{path}: field {name!r} is missing or not a string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error:
+        raise InvalidInputError(f"{path}: field {name!r} is not base64") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise InvalidInputError(
+            f"{path}: field {name!r} holds {len(raw)} bytes; K, D and p "
+            f"give shape {shape}, {8 * math.prod(shape)} bytes"
+        )
+    arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{path}: field {name!r} holds NaN or Inf values")
+    return arr
 
 
 def kmeans(
@@ -263,10 +302,11 @@ def kmeans(
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Lloyd's k-means with k-means++ seeding.
 
-    Empty clusters are reseeded to the point farthest from its assigned
-    centroid.  Stops after `iters` rounds or when the relative distortion
-    change drops below `tol`.  Returns (centroids, assignments, trace of
-    the objective after each update).
+    After each update, empty clusters are reseeded in index order, each to
+    the point farthest from its assigned centroid, which is relabelled.
+    Stops after `iters` rounds or when the relative distortion change drops
+    below `tol`.  Returns (centroids, assignments, trace of the objective
+    after each update).
     """
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
@@ -274,18 +314,24 @@ def kmeans(
         raise ConfigError(f"cannot fit K={K} centroids to {n} points")
     rng = np.random.default_rng(seed)
 
-    # k-means++ seeding; `diff` and `dist` are reused for every new centroid
+    # k-means++ seeding by the expansion |x|^2 - 2 x.c + |c|^2 with |x|^2
+    # computed once.  A row whose expanded distance lies within the
+    # expansion's rounding error of zero (every negative one does) is
+    # recomputed from its differences, so a row equal to a chosen centroid
+    # reads exactly 0 and the draws see the sums of the direct formula.
     centroids = np.empty((K, data.shape[1]), dtype=np.float64)
-    diff = np.empty_like(data)
-    dist = np.empty(n, dtype=np.float64)
+    x2 = np.einsum("ij,ij->i", data, data)
+    x2_max = float(x2.max())
 
     def sq_dist(centroid):
-        np.subtract(data, centroid, out=diff)
-        np.square(diff, out=diff)
-        return np.sum(diff, axis=1, out=dist)
+        c2 = float(centroid @ centroid)
+        dist = x2 - 2.0 * (data @ centroid) + c2
+        near = np.flatnonzero(dist <= SEED_EXACT_RTOL * (x2_max + c2))
+        dist[near] = np.sum(np.square(data[near] - centroid), axis=1)
+        return dist
 
     centroids[0] = data[rng.integers(n)]
-    closest = sq_dist(centroids[0]).copy()
+    closest = sq_dist(centroids[0])
     for k in range(1, K):
         total = closest.sum()
         if total <= 0:
@@ -305,14 +351,18 @@ def kmeans(
         # slightly negative from cancellation
         obj = float(np.sum((data - centroids[assign]) ** 2))
         trace.append(obj)
-        for k in range(K):
-            sel = assign == k
-            if np.any(sel):
-                centroids[k] = data[sel].mean(axis=0)
-            else:
-                far = int(np.argmax(np.sum((data - centroids[assign]) ** 2, axis=1)))
-                centroids[k] = data[far]
-                assign[far] = k
+        # bincount adds each cluster's rows in row order, as
+        # data[assign == k].mean(axis=0) does, so the means keep their bits
+        counts = np.bincount(assign, minlength=K)
+        sums = np.empty_like(centroids)
+        for j in range(data.shape[1]):
+            sums[:, j] = np.bincount(assign, weights=data[:, j], minlength=K)
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
+        for k in np.flatnonzero(~filled):
+            far = int(np.argmax(np.sum((data - centroids[assign]) ** 2, axis=1)))
+            centroids[k] = data[far]
+            assign[far] = k
         if prev - obj <= tol * max(prev, 1.0):
             break
         prev = obj

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from tokmri import autodiff as ad
 from tokmri.autodiff import Tape
@@ -116,8 +117,8 @@ class TestPrimitiveAdjoints:
 
     def test_gelu_grad(self):
         check_vjp(
-            ad.gelu_forward,
-            lambda x, v: ad.gelu_vjp(x, v),
+            lambda x: ad.gelu_forward(x, ad.gelu_erf_term(x)),
+            lambda x, v: ad.gelu_vjp(x, v, ad.gelu_erf_term(x)),
             RNG.standard_normal((8, 3)),
         )
 
@@ -281,6 +282,59 @@ class TestFusedSoftmax:
         _, (_, q, k, _, probs, _) = ad.attention_forward(y, *ws, heads)
         scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(E // heads)
         assert np.array_equal(probs, two_pass_softmax(scores))
+
+
+def erf_ffn_forward(z, w1, b1, w2, b2):
+    """The FFN forward that calls erf for GELU and caches the activation."""
+    pre = z @ w1 + b1
+    act = 0.5 * pre * (1.0 + erf(pre / np.sqrt(2.0)))
+    return act @ w2 + b2, (z, pre, act)
+
+
+def erf_ffn_vjp(cache, w1, w2, g):
+    """The FFN backward that calls erf again for GELU's derivative."""
+    z, pre, act = cache
+    g_act = g @ w2.T
+    cdf = 0.5 * (1.0 + erf(pre / np.sqrt(2.0)))
+    pdf = np.exp(-0.5 * pre * pre) / np.sqrt(2.0 * np.pi)
+    g_pre = g_act * (cdf + pre * pdf)
+    return (g_pre @ w1.T, z.T @ g_pre, g_pre.sum(axis=0),
+            act.T @ g, g.sum(axis=0))
+
+
+class TestCachedGeluTerm:
+    """The FFN that caches 1 + erf(pre / sqrt 2) equals the one that calls
+    erf in both passes, bit for bit."""
+
+    rng = np.random.default_rng(6)
+    E, F = 8, 24
+
+    def _weights(self):
+        return (self.rng.standard_normal((self.E, self.F)) * 0.5,
+                self.rng.standard_normal(self.F) * 0.2,
+                self.rng.standard_normal((self.F, self.E)) * 0.5,
+                self.rng.standard_normal(self.E) * 0.2)
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_forward_and_vjp_match_erf_formula(self, duplicates):
+        w1, b1, w2, b2 = self._weights()
+        z = self.rng.standard_normal((64, self.E)) * 2.0
+        if duplicates:
+            z = z[self.rng.integers(0, 4, size=z.shape[0])]
+        g = self.rng.standard_normal((64, self.E))
+        out, cache = ad.ffn_forward(z, w1, b1, w2, b2)
+        ref_out, ref_cache = erf_ffn_forward(z, w1, b1, w2, b2)
+        assert np.array_equal(out, ref_out)
+        for got, want in zip(ad.ffn_vjp(cache, w1, w2, g),
+                             erf_ffn_vjp(ref_cache, w1, w2, g)):
+            assert np.array_equal(got, want)
+
+    def test_cache_holds_no_activation(self):
+        w1, b1, w2, b2 = self._weights()
+        z = self.rng.standard_normal((5, self.E))
+        _, (z_c, pre, erf_term) = ad.ffn_forward(z, w1, b1, w2, b2)
+        assert z_c is z
+        assert np.array_equal(erf_term, 1.0 + erf(pre / np.sqrt(2.0)))
 
 
 class TestTape:

@@ -325,6 +325,26 @@ class TestCLI:
         assert main(["gen-data", "--config", str(cfg_path)]) == 1
         assert f"config key {key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, key", [
+        ("data:\n  size: 0\n", "data.size"),
+        ("tokenizer:\n  K: 0\n", "tokenizer.K"),
+        ("tokenizer:\n  D: 0\n", "tokenizer.D"),
+        ("tokenizer:\n  p: 0\n", "tokenizer.p"),
+        ("tokenizer:\n  p: -8\n", "tokenizer.p"),
+        ("train:\n  epochs: 0\n", "train.epochs"),
+        ("train:\n  batch_size: 0\n", "train.batch_size"),
+        ("train:\n  lr: .nan\n", "train.lr"),
+        ("train:\n  lr: .inf\n", "train.lr"),
+        ("train:\n  lr: 0\n", "train.lr"),
+        ("train:\n  lr: -1.0e-3\n", "train.lr"),
+    ])
+    def test_out_of_range_value_exit_one(self, tmp_path, capsys, doc, key):
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text(f"out_dir: {tmp_path / 'out'}\n" + doc)
+        assert main(["gen-data", "--config", str(cfg_path)]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_int_accepted_for_float_key(self):
         cfg = ExperimentConfig.from_dict({"train": {"lr": 1}})
         assert cfg.train.lr == 1.0 and isinstance(cfg.train.lr, float)

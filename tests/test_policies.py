@@ -6,9 +6,11 @@ import pytest
 from tokmri.errors import BudgetExhaustedError, ConfigError
 from tokmri.fourier import (
     NoiseSpec,
+    acquire,
     forward_fft,
     make_center_mask,
     sampling_budget,
+    zero_fill,
 )
 from tokmri.model import (
     TokenDistribution,
@@ -19,6 +21,7 @@ from tokmri.model import (
 from tokmri.phantoms import PhantomSpec, random_ellipse_phantom
 from tokmri.policies import (
     AcquisitionConfig,
+    _reconstruct_from_distributions,
     entropy_map,
     geo_select,
     les_select,
@@ -285,6 +288,44 @@ class TestRunAcquisition:
                                 noise=NoiseSpec(0.05, seed=9), seed=4)
         traj = run_acquisition(img, cfg, model, tok)
         assert traj.final_mask.nnz > traj.final_mask.center_count
+
+    @pytest.mark.parametrize("policy", ["random", "les", "geo"])
+    def test_one_fft_of_the_image_per_trajectory(self, toy_setup, policy,
+                                                 monkeypatch):
+        import tokmri.fourier as fourier
+        import tokmri.policies as policies
+
+        img, tok, model = self._setup(toy_setup)
+        calls = []
+
+        def counting_fft(x):
+            calls.append(np.array_equal(x, img))
+            return forward_fft(x)
+
+        monkeypatch.setattr(fourier, "forward_fft", counting_fft)
+        monkeypatch.setattr(policies, "forward_fft", counting_fft)
+        cfg = AcquisitionConfig(R=2, rho_c=0.25, T=3, policy=policy,
+                                noise=NoiseSpec(0.05, seed=9), seed=4)
+        traj = run_acquisition(img, cfg, model, tok)
+        assert len(traj.steps) == 3
+        assert sum(calls) == 1
+
+    def test_final_measurement_equals_acquire(self, toy_setup):
+        # the trajectory masks one noisy k-space; `acquire` with the same
+        # noise field gives the same measurement bit for bit
+        img, tok, model = self._setup(toy_setup)
+        noise = NoiseSpec(0.05, seed=9)
+        cfg = AcquisitionConfig(R=2, rho_c=0.25, T=3, policy="les",
+                                noise=noise, seed=4)
+        traj = run_acquisition(img, cfg, model, tok)
+        field = NoiseSpec(0.05, seed=9 ^ 4).draw(img.shape)
+        ksp = acquire(img, traj.final_mask, noise_field=field)
+        zf = tokenize_image(tok, zero_fill(ksp))
+        dist_re, dist_im = model.predict(zf.q_re, zf.q_im)
+        recon = _reconstruct_from_distributions(
+            tok, dist_re, dist_im, zf.stats_re, zf.stats_im,
+            (zf.q_re.grid_h, zf.q_re.grid_w))
+        assert np.array_equal(traj.reconstruction, recon)
 
     def test_oracle_policy_ignores_mask_machinery(self, toy_setup):
         img, tok, model = self._setup(toy_setup)

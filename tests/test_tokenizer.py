@@ -1,3 +1,6 @@
+import base64
+import copy
+import json
 import tracemalloc
 
 import numpy as np
@@ -269,6 +272,105 @@ class TestEncoderDecoder:
         assert np.allclose(tok.decode(tok.encode(x)), x, atol=1e-8)
 
 
+def direct_seeding(data, K, seed):
+    """k-means++ seeding from the squared differences of every row; the
+    reference for the seeding's distance expansion."""
+    rng = np.random.default_rng(seed)
+    n = data.shape[0]
+    centroids = np.empty((K, data.shape[1]))
+    centroids[0] = data[rng.integers(n)]
+    closest = np.sum((data - centroids[0]) ** 2, axis=1)
+    for k in range(1, K):
+        total = closest.sum()
+        if total <= 0:
+            centroids[k] = data[rng.integers(n)]
+            continue
+        centroids[k] = data[rng.choice(n, p=closest / total)]
+        closest = np.minimum(closest, np.sum((data - centroids[k]) ** 2, axis=1))
+    return centroids
+
+
+def masked_mean_update(data, centroids):
+    """One Lloyd update by a boolean mask per cluster, then the empty
+    clusters in index order; the reference for the bincount update.
+    Returns (centroids, assign, number of empty clusters)."""
+    centroids = centroids.copy()
+    assign = nearest_entry_indices(data, centroids)
+    empty = []
+    for k in range(centroids.shape[0]):
+        sel = assign == k
+        if np.any(sel):
+            centroids[k] = data[sel].mean(axis=0)
+        else:
+            empty.append(k)
+    for k in empty:
+        far = int(np.argmax(np.sum((data - centroids[assign]) ** 2, axis=1)))
+        centroids[k] = data[far]
+        assign[far] = k
+    return centroids, assign, len(empty)
+
+
+def kmeans_cases():
+    """(data, K): random rows, and rows drawn from a few distinct ones with
+    K below and above the number of distinct rows."""
+    rng = np.random.default_rng(21)
+    yield rng.standard_normal((3000, 16)) * 2.0, 64
+    for distinct, dim, K in ((40, 8, 30), (40, 8, 60), (12, 3, 20)):
+        rows = rng.standard_normal((distinct, dim)) * 2.7
+        yield rows[rng.integers(0, distinct, size=2000)], K
+
+
+KMEANS_CASES = list(kmeans_cases())
+CASE_IDS = ["random", "dup-K30-of-40", "dup-K60-of-40", "dup-K20-of-12"]
+
+
+class TestKMeansKernels:
+    """The seeding's distance expansion and the bincount update give the
+    bits of the direct formulas."""
+
+    @pytest.mark.parametrize("data, K", KMEANS_CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_seeding_picks_equal_direct_seeding(self, data, K, seed):
+        seeded, _, trace = kmeans(data, K, iters=0, seed=seed)
+        assert trace == []
+        assert np.array_equal(seeded, direct_seeding(data, K, seed))
+
+    def test_seeding_sees_exact_zeros_for_duplicates(self):
+        # a row equal to a chosen centroid must read 0, not a rounding
+        # residue: with every distinct row chosen the sum is exactly 0 and
+        # the seeding draws the remaining centroids uniformly
+        rows = np.array([[0.1, 0.7, 2.3], [1.9, -0.4, 0.3], [-1.3, 2.2, 0.6]])
+        data = rows[np.arange(300) % 3]
+        seeded, _, _ = kmeans(data, 9, iters=0, seed=1)
+        assert np.array_equal(seeded, direct_seeding(data, 9, seed=1))
+
+    @pytest.mark.parametrize("data, K", KMEANS_CASES, ids=CASE_IDS)
+    def test_bincount_update_equals_masked_means(self, data, K):
+        seeded, _, _ = kmeans(data, K, iters=0, seed=0)
+        centroids, assign, _ = kmeans(data, K, iters=1, seed=0)
+        ref_centroids, ref_assign, _ = masked_mean_update(data, seeded)
+        assert np.array_equal(centroids, ref_centroids)
+        assert np.array_equal(assign, ref_assign)
+
+    def test_empty_clusters_reseeded_to_farthest_rows(self):
+        # 6 distinct rows, K=10: the seeding repeats rows, so the update
+        # meets empty clusters
+        rng = np.random.default_rng(22)
+        rows = rng.standard_normal((6, 4))
+        data = np.concatenate([rows[rng.integers(0, 6, size=120)],
+                               rng.standard_normal((3, 4)) * 9.0])
+        seeded, _, _ = kmeans(data, 10, iters=0, seed=4)
+        centroids, assign, _ = kmeans(data, 10, iters=1, seed=4)
+        ref_centroids, ref_assign, n_empty = masked_mean_update(data, seeded)
+        assert n_empty > 0
+        assert np.array_equal(centroids, ref_centroids)
+        assert np.array_equal(assign, ref_assign)
+        for k in set(range(10)) - set(nearest_entry_indices(data, seeded)):
+            rows_of_k = np.flatnonzero(assign == k)
+            assert rows_of_k.size == 1
+            assert np.array_equal(centroids[k], data[rows_of_k[0]])
+
+
 class TestKMeans:
     def test_distinct_points_zero_distortion(self):
         rng = np.random.default_rng(10)
@@ -365,6 +467,83 @@ class TestPersistence:
         assert np.array_equal(back.dec_w, tok.dec_w)
         assert np.array_equal(back.dec_b, tok.dec_b)
         assert np.array_equal(back.codebook.entries, tok.codebook.entries)
+
+
+def _nan_field(name):
+    def corrupt(doc):
+        arr = np.frombuffer(base64.b64decode(doc[name]), dtype="<f8").copy()
+        arr[0] = np.nan
+        doc[name] = base64.b64encode(arr.tobytes()).decode("ascii")
+    return corrupt
+
+
+def _set(key, value):
+    def corrupt(doc):
+        doc[key] = value
+    return corrupt
+
+
+def _truncate(name):
+    def corrupt(doc):
+        raw = base64.b64decode(doc[name])[:-8]
+        doc[name] = base64.b64encode(raw).decode("ascii")
+    return corrupt
+
+
+class TestLoadFailsClosed:
+    """Every defect of a tokenizer file raises InvalidInputError naming the
+    file and the field."""
+
+    @pytest.fixture(scope="class")
+    def saved_doc(self, tmp_path_factory):
+        rng = np.random.default_rng(16)
+        dataset = [rng.standard_normal((16, 16)) for _ in range(4)]
+        tok, _ = train_tokenizer(dataset, K=8, D=4, p=4, seed=0)
+        path = tmp_path_factory.mktemp("tok") / "tokenizer.json"
+        tok.save(path)
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("corrupt, field", [
+        pytest.param(lambda doc: doc.pop("enc_w"), "enc_w", id="missing-array"),
+        pytest.param(lambda doc: doc.pop("K"), "K", id="missing-K"),
+        pytest.param(_set("dec_b", "not base64!"), "dec_b", id="bad-base64"),
+        pytest.param(_set("enc_b", 3), "enc_b", id="not-a-string"),
+        pytest.param(_truncate("entries"), "entries", id="short-payload"),
+        pytest.param(_set("K", 9), "entries", id="K-disagrees"),
+        pytest.param(_set("p", 2), "enc_w", id="p-disagrees"),
+        pytest.param(_set("D", 0), "D", id="D-zero"),
+        pytest.param(_set("p", "4"), "p", id="p-string"),
+        *(pytest.param(_nan_field(name), name, id=f"nan-{name}")
+          for name in ("enc_w", "enc_b", "dec_w", "dec_b", "entries")),
+    ])
+    def test_defect_names_file_and_field(self, saved_doc, tmp_path, corrupt,
+                                         field):
+        doc = copy.deepcopy(saved_doc)
+        corrupt(doc)
+        path = tmp_path / "tokenizer.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError) as info:
+            Tokenizer.load(path)
+        assert str(path) in str(info.value)
+        assert repr(field) in str(info.value)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\xff\xfe"])
+    def test_not_a_json_object(self, tmp_path, text):
+        path = tmp_path / "tokenizer.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(InvalidInputError, match=str(path)):
+            Tokenizer.load(path)
+
+    def test_duplicate_entries_name_file(self, saved_doc, tmp_path):
+        doc = copy.deepcopy(saved_doc)
+        entries = np.frombuffer(base64.b64decode(doc["entries"]), dtype="<f8")
+        entries = entries.reshape(8, 4).copy()
+        entries[1] = entries[0]
+        doc["entries"] = base64.b64encode(entries.tobytes()).decode("ascii")
+        path = tmp_path / "tokenizer.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match="'entries'.*distinct"):
+            Tokenizer.load(path)
 
 
 class TestChannelNormalization:
