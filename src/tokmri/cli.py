@@ -73,13 +73,10 @@ def load_config(args) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "show-config":
-            cfg = (ExperimentConfig.load(args.config) if args.config
-                   else default_config())
-            print(cfg.to_yaml(), end="")
-            return 0
         cfg = load_config(args)
-        if args.command == "gen-data":
+        if args.command == "show-config":
+            print(cfg.to_yaml(), end="")
+        elif args.command == "gen-data":
             result = cmd_gen_data(cfg)
             print(f"wrote {result.counts} phantoms; manifest at "
                   f"{result.manifest_path}")

@@ -2,21 +2,27 @@
 
 One YAML document drives every CLI command.  Defaults live here and only
 here; `tokmri show-config` prints them.  Configurations round-trip through
-serialization unchanged.
+serialization unchanged.  A section's values are checked by the object it
+feeds (`PhantomSpec`, `TransformerConfig`, `RandomMaskSampler`,
+`AcquisitionConfig`), built at load time by the same methods the commands
+use.
 """
 
 from __future__ import annotations
 
 import math
 import types
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
 import yaml
 
 from .errors import ConfigError
-from .policies import POLICIES
+from .fourier import NoiseSpec
+from .model import RandomMaskSampler, TransformerConfig
+from .phantoms import PhantomSpec
+from .policies import POLICIES, AcquisitionConfig
 
 
 @dataclass
@@ -31,6 +37,12 @@ class DataConfig:
     phase_mode: str = "smooth-random"
     master_seed: int = 1234
 
+    def phantom(self, seed: int = 0) -> PhantomSpec:
+        return PhantomSpec(size=self.size, n_ellipses=self.n_ellipses,
+                           intensity_lo=self.intensity_lo,
+                           intensity_hi=self.intensity_hi,
+                           phase_mode=self.phase_mode, seed=seed)
+
 
 @dataclass
 class TokenizerSection:
@@ -38,14 +50,6 @@ class TokenizerSection:
     D: int = 16
     p: int = 8
     kmeans_iters: int = 50
-
-
-@dataclass
-class ModelSection:
-    layers: int = 2
-    heads: int = 4
-    embed_dim: int = 64
-    ffn_dim: int = 128
 
 
 @dataclass
@@ -59,6 +63,11 @@ class TrainSection:
     seed: int = 0
     resume_from: str | None = None
 
+    def corruption(self, rho_c: float) -> tuple[RandomMaskSampler, NoiseSpec]:
+        """The mask sampler and the measurement noise of training examples."""
+        return (RandomMaskSampler(rho_c, self.accel_lo, self.accel_hi),
+                NoiseSpec(self.noise_sigma))
+
 
 @dataclass
 class AcquisitionSection:
@@ -70,6 +79,16 @@ class AcquisitionSection:
     noise_sigma: float = 0.0
     noise_seed: int = 0
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
+
+    def trajectory(self, policy: str, R: int, seed: int = 0,
+                   T: int | None = None) -> AcquisitionConfig:
+        """Settings of one trajectory.  A given `T` (the bench's) replaces
+        the step count and leaves the lines per step to the budget."""
+        steps = ({"T": self.T, "lines_per_step": self.lines_per_step}
+                 if T is None else {"T": T})
+        return AcquisitionConfig(
+            R=R, rho_c=self.rho_c, policy=policy, seed=seed,
+            noise=NoiseSpec(self.noise_sigma, seed=self.noise_seed), **steps)
 
 
 @dataclass
@@ -89,7 +108,7 @@ class ExperimentConfig:
     out_dir: str = "runs/default"
     data: DataConfig = field(default_factory=DataConfig)
     tokenizer: TokenizerSection = field(default_factory=TokenizerSection)
-    model: ModelSection = field(default_factory=ModelSection)
+    model: TransformerConfig = field(default_factory=TransformerConfig)
     train: TrainSection = field(default_factory=TrainSection)
     acquisition: AcquisitionSection = field(default_factory=AcquisitionSection)
     metrics: MetricsSection = field(default_factory=MetricsSection)
@@ -115,11 +134,13 @@ class ExperimentConfig:
                 if not isinstance(value, dict):
                     raise ConfigError(f"config section {key!r} must be a mapping")
                 hints = get_type_hints(type(current))
+                typed = {}
                 for sub, sub_val in value.items():
                     if sub not in hints:
                         raise ConfigError(f"unknown config key {key}.{sub}")
-                    setattr(current, sub,
-                            _typed(f"{key}.{sub}", sub_val, hints[sub]))
+                    typed[sub] = _typed(f"{key}.{sub}", sub_val, hints[sub])
+                setattr(cfg, key,
+                        _built(key, lambda: replace(current, **typed)))
             else:
                 setattr(cfg, key, _typed(key, value, get_type_hints(cls)[key]))
         cfg.validate()
@@ -135,9 +156,10 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
     def validate(self) -> None:
-        d, t = self.data, self.tokenizer
+        d, t, acq, bench = self.data, self.tokenizer, self.acquisition, self.bench
         for section, key in (("data", "size"), ("tokenizer", "K"),
                              ("tokenizer", "D"), ("tokenizer", "p"),
+                             ("tokenizer", "kmeans_iters"),
                              ("train", "epochs"), ("train", "batch_size")):
             if getattr(getattr(self, section), key) < 1:
                 raise ConfigError(f"{section}.{key} must be >= 1")
@@ -148,24 +170,29 @@ class ExperimentConfig:
             raise ConfigError(
                 f"patch size {t.p} does not divide image size {d.size}"
             )
-        if d.phase_mode not in ("zero", "smooth-random"):
-            raise ConfigError(f"unknown phase mode {d.phase_mode!r}")
-        if not 0.0 <= self.acquisition.rho_c <= 1.0:
-            raise ConfigError("rho_c must lie in [0, 1]")
-        if self.model.embed_dim % self.model.heads:
-            raise ConfigError("embed_dim must be divisible by heads")
-        for pol in self.acquisition.policies:
-            if pol not in POLICIES:
-                raise ConfigError(f"unknown policy {pol!r}")
-        for R in self.acquisition.accelerations:
-            if R < 1:
-                raise ConfigError("accelerations must be >= 1")
         for key in ("accel", "T", "min_steps"):
-            value = getattr(self.bench, key)
+            value = getattr(bench, key)
             if not isinstance(value, int) or value < 1:
                 raise ConfigError(f"bench.{key} must be an integer >= 1")
-        if not self.acquisition.seeds:
+        if not acq.seeds:
             raise ConfigError("at least one acquisition seed is required")
+        _built("data", d.phantom)
+        _built("train", lambda: self.train.corruption(acq.rho_c))
+        for policy in acq.policies:
+            # the oracle ignores the acceleration and runs once
+            for R in [1] if policy == "oracle" else acq.accelerations:
+                _built("acquisition",
+                       lambda: acq.trajectory(policy, R).plan(d.size))
+        _built("bench",
+               lambda: acq.trajectory("les", bench.accel, T=bench.T).plan(d.size))
+
+
+def _built(section: str, build):
+    """`build()`, with the config section named in a ConfigError it raises."""
+    try:
+        return build()
+    except ConfigError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 def _conforms(value, tp) -> bool:

@@ -9,6 +9,7 @@ and seed produces byte-identical outputs (bench wall-clock fields aside).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass, field
@@ -18,17 +19,10 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .fourier import NoiseSpec, make_center_mask, sampling_budget
 from .metrics import evaluate
-from .model import (
-    LatentTransformer,
-    RandomMaskSampler,
-    TrainState,
-    TransformerConfig,
-    train_model,
-)
-from .phantoms import PhantomSpec, make_splits, random_ellipse_phantom
-from .policies import AcquisitionConfig, AcquisitionTrajectory, run_acquisition
+from .model import LatentTransformer, TrainState, train_model
+from .phantoms import make_splits, random_ellipse_phantom
+from .policies import AcquisitionTrajectory, run_acquisition
 from .storage import (
     atomic_write_bytes,
     atomic_write_text,
@@ -73,15 +67,7 @@ def cmd_gen_data(cfg: ExperimentConfig) -> GenDataResult:
     for split, seeds in (("train", train_s), ("val", val_s), ("test", test_s)):
         entries = []
         for i, seed in enumerate(seeds):
-            spec = PhantomSpec(
-                size=d.size,
-                n_ellipses=d.n_ellipses,
-                intensity_lo=d.intensity_lo,
-                intensity_hi=d.intensity_hi,
-                phase_mode=d.phase_mode,
-                seed=int(seed),
-            )
-            img = random_ellipse_phantom(spec)
+            img = random_ellipse_phantom(d.phantom(int(seed)))
             image_id = f"{split}_{i:04d}"
             rel = f"{split}/{image_id}.ctns"
             save_ctns(out / rel, img)
@@ -207,29 +193,20 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
     )
     tok.save(paths["tokenizer"])
 
-    sampler = RandomMaskSampler(
-        rho_c=cfg.acquisition.rho_c,
-        accel_lo=cfg.train.accel_lo,
-        accel_hi=cfg.train.accel_hi,
-    )
+    sampler, noise = cfg.train.corruption(cfg.acquisition.rho_c)
     resume = None
     if cfg.train.resume_from:
         resume = load_checkpoint(Path(cfg.train.resume_from))
     state = train_model(
         images,
         tok,
-        TransformerConfig(
-            layers=cfg.model.layers,
-            heads=cfg.model.heads,
-            embed_dim=cfg.model.embed_dim,
-            ffn_dim=cfg.model.ffn_dim,
-        ),
+        cfg.model,
         mask_sampler=sampler,
         epochs=cfg.train.epochs,
         batch_size=cfg.train.batch_size,
         lr=cfg.train.lr,
         seed=cfg.train.seed,
-        noise=NoiseSpec(cfg.train.noise_sigma, seed=cfg.train.seed),
+        noise=noise,
         resume=resume,
         on_epoch_end=lambda st: save_checkpoint(st, paths["checkpoint"]),
     )
@@ -262,7 +239,22 @@ def load_artifacts(cfg: ExperimentConfig) -> tuple[Tokenizer, LatentTransformer]
     model_manifest = paths["model"] / "manifest.json"
     if not model_manifest.exists():
         raise ConfigError(f"missing trained model: {model_manifest}")
-    return Tokenizer.load(paths["tokenizer"]), LatentTransformer.load(paths["model"])
+    tokenizer = Tokenizer.load(paths["tokenizer"])
+    model = LatentTransformer.load(paths["model"])
+    K, grid = tokenizer.codebook.K, cfg.data.size // tokenizer.p
+    for name, got, want in (
+        ("codebook_size", model.codebook_size, K),
+        ("head_re width", model.params["head_re.w"].shape[-1], K),
+        ("head_im width", model.params["head_im.w"].shape[-1], K),
+        ("latent_dim", model.latent_dim, tokenizer.D),
+        ("seq_len", model.seq_len, grid * grid),
+    ):
+        if got != want:
+            raise ConfigError(
+                f"{model_manifest} does not fit {paths['tokenizer']} at "
+                f"data.size {cfg.data.size}: {name} is {got}, expected {want}"
+            )
+    return tokenizer, model
 
 
 # ---------------------------------------------------------------------------
@@ -297,26 +289,6 @@ def _trajectory_records(policy: str, traj: AcquisitionTrajectory) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def run_one_policy_config(
-    cfg, tokenizer, model, images, policy, R, seed
-) -> list[tuple[str, AcquisitionTrajectory]]:
-    acq = cfg.acquisition
-    results: list[tuple[str, AcquisitionTrajectory]] = []
-    for idx, (image_id, img) in enumerate(images):
-        acq_cfg = AcquisitionConfig(
-            R=R,
-            rho_c=acq.rho_c,
-            T=acq.T,
-            lines_per_step=acq.lines_per_step,
-            policy=policy,
-            noise=NoiseSpec(acq.noise_sigma, seed=acq.noise_seed),
-            seed=_traj_seed(seed, idx),
-        )
-        results.append((image_id, run_acquisition(img, acq_cfg, model,
-                                                  tokenizer)))
-    return results
-
-
 def cmd_run(cfg: ExperimentConfig) -> RunResult:
     tokenizer, model = load_artifacts(cfg)
     images = load_split(cfg, "test")
@@ -335,10 +307,10 @@ def cmd_run(cfg: ExperimentConfig) -> RunResult:
 
     for policy in acq.policies:
         if policy == "oracle":
-            runs = run_one_policy_config(
-                cfg, tokenizer, model, images, "oracle", R=1, seed=0
-            )
-            for (image_id, img), (_, traj) in zip(images, runs):
+            for idx, (image_id, img) in enumerate(images):
+                traj = run_acquisition(
+                    img, acq.trajectory("oracle", R=1, seed=_traj_seed(0, idx)),
+                    model, tokenizer)
                 m = eval_one(image_id, img, traj)
                 row = {"image_id": image_id, "policy": "oracle", "R": None,
                        "T": 0, "seed": None, **m}
@@ -350,10 +322,10 @@ def cmd_run(cfg: ExperimentConfig) -> RunResult:
         for R in acq.accelerations:
             for seed in acq.seeds:
                 tag = f"{policy}_R{R}_seed{seed}"
-                runs = run_one_policy_config(
-                    cfg, tokenizer, model, images, policy, R, seed
-                )
-                for (image_id, img), (_, traj) in zip(images, runs):
+                for idx, (image_id, img) in enumerate(images):
+                    traj = run_acquisition(
+                        img, acq.trajectory(policy, R, _traj_seed(seed, idx)),
+                        model, tokenizer)
                     m = eval_one(image_id, img, traj)
                     row = {"image_id": image_id, "policy": policy, "R": R,
                            "T": acq.T, "seed": seed, **m}
@@ -447,12 +419,12 @@ def cmd_bench(cfg: ExperimentConfig) -> BenchResult:
     images = load_split(cfg, "test")
     if not images:
         raise ConfigError("bench needs at least one test image (run gen-data)")
+    settings = functools.partial(cfg.acquisition.trajectory,
+                                 R=cfg.bench.accel, T=cfg.bench.T)
     # a trajectory without lines to acquire records no steps, and the
     # min_steps loop below would never end
     num_lines = images[0][1].shape[0]
-    rho_c = cfg.acquisition.rho_c
-    free = num_lines - make_center_mask(num_lines, rho_c).nnz
-    if min(sampling_budget(num_lines, cfg.bench.accel, rho_c), free) < 1:
+    if settings("les").plan(num_lines)[1] < 1:
         raise ConfigError(
             f"bench.accel={cfg.bench.accel} leaves no line to acquire "
             f"on {num_lines}-line images"
@@ -465,16 +437,8 @@ def cmd_bench(cfg: ExperimentConfig) -> BenchResult:
         img_idx = 0
         while len(times) < cfg.bench.min_steps:
             image_id, img = images[img_idx % len(images)]
-            acq_cfg = AcquisitionConfig(
-                R=cfg.bench.accel,
-                rho_c=cfg.acquisition.rho_c,
-                T=cfg.bench.T,
-                policy=policy,
-                noise=NoiseSpec(cfg.acquisition.noise_sigma,
-                                seed=cfg.acquisition.noise_seed),
-                seed=img_idx,
-            )
-            traj = run_acquisition(img, acq_cfg, model, tokenizer)
+            traj = run_acquisition(img, settings(policy, seed=img_idx), model,
+                                   tokenizer)
             step_times = [rec.time_ms for rec in traj.steps]
             times.extend(step_times)
             total += sum(step_times) / 1e3

@@ -10,7 +10,8 @@ linear heads, one per stream, share the trunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,8 @@ class TransformerConfig:
     ffn_dim: int = 128
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.embed_dim % self.heads:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
@@ -274,12 +277,7 @@ class LatentTransformer:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         manifest = {
-            "config": {
-                "layers": self.cfg.layers,
-                "heads": self.cfg.heads,
-                "embed_dim": self.cfg.embed_dim,
-                "ffn_dim": self.cfg.ffn_dim,
-            },
+            "config": asdict(self.cfg),
             "latent_dim": self.latent_dim,
             "seq_len": self.seq_len,
             "codebook_size": self.codebook_size,
@@ -328,6 +326,14 @@ class RandomMaskSampler:
     rho_c: float = 0.04
     accel_lo: float = 1.2
     accel_hi: float = 24.0
+
+    def __post_init__(self):
+        lo, hi = self.accel_lo, self.accel_hi
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
+            raise ConfigError(
+                f"accel_lo and accel_hi must be finite with "
+                f"0 < accel_lo <= accel_hi, got {lo} and {hi}"
+            )
 
     def __call__(self, rng: np.random.Generator, num_lines: int) -> SamplingMask:
         R = float(np.exp(rng.uniform(np.log(self.accel_lo),

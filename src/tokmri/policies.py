@@ -77,6 +77,22 @@ class AcquisitionConfig:
         if self.lines_per_step is not None and self.lines_per_step < 1:
             raise ConfigError("lines_per_step must be positive")
 
+    def plan(self, num_lines: int) -> tuple[SamplingMask, int, int]:
+        """The centre mask, the lines to acquire beyond it and the lines per
+        step on `num_lines`-line images; the oracle acquires no line."""
+        center = make_center_mask(num_lines, self.rho_c)
+        budget = 0 if self.policy == "oracle" else min(
+            sampling_budget(num_lines, self.R, self.rho_c),
+            num_lines - center.nnz,
+        )
+        per_step = (self.lines_per_step
+                    or max(1, math.ceil(budget / max(self.T, 1))))
+        if self.T > 0 and per_step * self.T < budget:
+            raise ConfigError(
+                f"{self.T} steps of {per_step} lines cannot reach budget {budget}"
+            )
+        return center, budget, per_step
+
 
 @dataclass
 class StepRecord:
@@ -233,26 +249,14 @@ def run_acquisition(
     num_lines = H
     ref_mag = np.abs(img)
 
-    traj = AcquisitionTrajectory(policy=cfg.policy)
+    mask, remaining, per_step = cfg.plan(num_lines)
+    traj = AcquisitionTrajectory(policy=cfg.policy, budget=remaining)
     if cfg.policy == "oracle":
         recon = oracle_reconstruct(img, tokenizer)
-        traj.final_mask = make_center_mask(num_lines, cfg.rho_c)
+        traj.final_mask = mask
         traj.reconstruction = recon
         traj.final_nmse = nmse(ref_mag, np.abs(recon))
         return traj
-
-    budget = sampling_budget(num_lines, cfg.R, cfg.rho_c)
-    mask = make_center_mask(num_lines, cfg.rho_c)
-    remaining = min(budget, int(mask.num_lines - mask.nnz))
-    traj.budget = remaining
-
-    per_step = cfg.lines_per_step
-    if per_step is None and cfg.T > 0:
-        per_step = max(1, math.ceil(remaining / cfg.T))
-    if cfg.T > 0 and per_step * cfg.T < remaining:
-        raise ConfigError(
-            f"{cfg.T} steps of {per_step} lines cannot reach budget {remaining}"
-        )
 
     rng = np.random.default_rng(cfg.seed)
     noise = NoiseSpec(cfg.noise.sigma,

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from tokmri.experiment import (
     load_checkpoint,
     load_split,
 )
+from tokmri.model import TransformerConfig
 from tokmri.storage import load_ctns
 
 
@@ -32,10 +34,7 @@ def mini_config(out_dir: str) -> ExperimentConfig:
     cfg.tokenizer.K = 16
     cfg.tokenizer.D = 8
     cfg.tokenizer.p = 8
-    cfg.model.layers = 1
-    cfg.model.heads = 2
-    cfg.model.embed_dim = 32
-    cfg.model.ffn_dim = 64
+    cfg.model = TransformerConfig(layers=1, heads=2, embed_dim=32, ffn_dim=64)
     cfg.train.epochs = 2
     cfg.acquisition.accelerations = [4]
     cfg.acquisition.T = 2
@@ -337,6 +336,19 @@ class TestCLI:
         ("train:\n  lr: .inf\n", "train.lr"),
         ("train:\n  lr: 0\n", "train.lr"),
         ("train:\n  lr: -1.0e-3\n", "train.lr"),
+        ("tokenizer:\n  kmeans_iters: 0\n", "tokenizer.kmeans_iters"),
+        ("model:\n  heads: 3\n", "model: embed_dim"),
+        ("model:\n  heads: 0\n", "model: heads"),
+        ("train:\n  accel_lo: 0\n", "train: accel_lo"),
+        ("train:\n  accel_lo: -1\n", "train: accel_lo"),
+        ("train:\n  accel_lo: 30\n", "train: accel_lo"),
+        ("train:\n  accel_hi: .nan\n", "train: accel_lo"),
+        ("train:\n  noise_sigma: -0.1\n", "train: noise sigma"),
+        ("acquisition:\n  T: -1\n", "acquisition: step count"),
+        ("acquisition:\n  lines_per_step: 0\n", "acquisition: lines_per_step"),
+        ("acquisition:\n  noise_sigma: -1.0\n", "acquisition: noise sigma"),
+        ("data:\n  size: 32\nacquisition:\n  accelerations: [4]\n"
+         "  T: 1\n  lines_per_step: 1\n", "acquisition: 1 steps of 1 lines"),
     ])
     def test_out_of_range_value_exit_one(self, tmp_path, capsys, doc, key):
         cfg_path = tmp_path / "bad.yaml"
@@ -395,6 +407,28 @@ class TestCLI:
         cfg_path.write_text(bad.to_yaml())
         assert main(["bench", "--config", str(cfg_path)]) == 1
         assert "bench.accel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("codebook_size", 999), ("latent_dim", 999), ("seq_len", 999)])
+    def test_artifact_geometry_mismatch_exit_one(self, mini_run, tmp_path,
+                                                 capsys, key, value):
+        cfg, *_ = mini_run
+        out = tmp_path / "out"
+        for folder in ("data", "artifacts"):
+            shutil.copytree(Path(cfg.out_dir) / folder, out / folder)
+        manifest_path = out / "artifacts" / "model" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        bad = ExperimentConfig.from_dict(cfg.to_dict())
+        bad.out_dir = str(out)
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(bad.to_yaml())
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} is {value}" in err
+        assert "manifest.json" in err and "tokenizer.json" in err
+        assert not (out / "results").exists()
 
     def test_run_zero_steps_loads(self, tmp_path):
         from tokmri.cli import build_parser, load_config

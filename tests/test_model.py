@@ -332,6 +332,13 @@ class TestRandomMaskSampler:
             extra = mask.nnz - mask.center_count
             assert 0 <= extra <= round(64 * 0.96 / 2.0) + 1
 
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, 24.0), (-1.0, 24.0), (30.0, 24.0), (1.2, math.inf),
+        (math.nan, 24.0)])
+    def test_rejects_range_outside_positive_finite(self, lo, hi):
+        with pytest.raises(ConfigError, match="accel_lo"):
+            RandomMaskSampler(accel_lo=lo, accel_hi=hi)
+
 
 def tiny_dataset(n=10, size=32, seed0=100):
     return [random_ellipse_phantom(PhantomSpec(size=size, n_ellipses=4,

@@ -218,6 +218,50 @@ def overfit_setup():
     return images, tok, state.model
 
 
+def inline_plan(num_lines, R, rho_c, T, lines_per_step):
+    """The budget arithmetic `run_acquisition` used to spell out inline;
+    None where it raised."""
+    mask = make_center_mask(num_lines, rho_c)
+    remaining = min(sampling_budget(num_lines, R, rho_c),
+                    int(mask.num_lines - mask.nnz))
+    per_step = lines_per_step
+    if per_step is None and T > 0:
+        per_step = max(1, math.ceil(remaining / T))
+    if T > 0 and per_step * T < remaining:
+        return None
+    return mask, remaining, per_step
+
+
+class TestPlan:
+    def test_matches_inline_arithmetic(self):
+        for num_lines in (16, 17, 32, 64, 127, 128):
+            for R in (1, 2, 3, 4, 8, 16, 64):
+                for rho_c in (0.0, 0.04, 0.08, 0.5, 1.0):
+                    for T in (0, 1, 2, 4, 8):
+                        for lps in (None, 1, 2, 3, 5):
+                            want = inline_plan(num_lines, R, rho_c, T, lps)
+                            acq = AcquisitionConfig(R=R, rho_c=rho_c, T=T,
+                                                    lines_per_step=lps)
+                            if want is None:
+                                with pytest.raises(ConfigError,
+                                                   match="cannot reach"):
+                                    acq.plan(num_lines)
+                                continue
+                            center, budget, per_step = acq.plan(num_lines)
+                            assert np.array_equal(center.flags, want[0].flags)
+                            assert center.center_count == want[0].center_count
+                            assert budget == want[1]
+                            if T > 0:
+                                assert per_step == want[2]
+
+    def test_oracle_acquires_no_line(self):
+        acq = AcquisitionConfig(R=2, rho_c=0.25, T=1, lines_per_step=1,
+                                policy="oracle")
+        center, budget, _ = acq.plan(16)
+        assert budget == 0
+        assert np.array_equal(center.flags, make_center_mask(16, 0.25).flags)
+
+
 class TestRunAcquisition:
     def _setup(self, toy_setup):
         tok, model = toy_setup
