@@ -151,8 +151,11 @@ class ExperimentConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh) or {}
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = yaml.safe_load(fh) or {}
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: not a valid YAML document: {exc}") from None
         return cls.from_dict(doc)
 
     def validate(self) -> None:
@@ -163,9 +166,11 @@ class ExperimentConfig:
                              ("train", "epochs"), ("train", "batch_size")):
             if getattr(getattr(self, section), key) < 1:
                 raise ConfigError(f"{section}.{key} must be >= 1")
-        if not (math.isfinite(self.train.lr) and self.train.lr > 0):
-            raise ConfigError(
-                f"train.lr must be finite and > 0, got {self.train.lr}")
+        for section, key in (("train", "lr"), ("metrics", "psnr_cap")):
+            value = getattr(getattr(self, section), key)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"{section}.{key} must be finite and > 0, got {value}")
         if d.size % t.p:
             raise ConfigError(
                 f"patch size {t.p} does not divide image size {d.size}"
@@ -176,6 +181,13 @@ class ExperimentConfig:
                 raise ConfigError(f"bench.{key} must be an integer >= 1")
         if not acq.seeds:
             raise ConfigError("at least one acquisition seed is required")
+        for key in ("seeds", "accelerations", "policies"):
+            values = getattr(acq, key)
+            if len(set(values)) != len(values):
+                # a repeated entry runs its trajectories again, writing each
+                # metrics row twice and weighting it twice in the summary
+                raise ConfigError(
+                    f"acquisition.{key} holds a duplicate entry: {values}")
         _built("data", d.phantom)
         _built("train", lambda: self.train.corruption(acq.rho_c))
         for policy in acq.policies:

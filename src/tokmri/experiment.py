@@ -20,7 +20,12 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .metrics import evaluate
-from .model import LatentTransformer, TrainState, train_model
+from .model import (
+    LatentTransformer,
+    TrainState,
+    read_model_manifest,
+    train_model,
+)
 from .phantoms import make_splits, random_ellipse_phantom
 from .policies import AcquisitionTrajectory, run_acquisition
 from .storage import (
@@ -240,21 +245,18 @@ def load_artifacts(cfg: ExperimentConfig) -> tuple[Tokenizer, LatentTransformer]
     if not model_manifest.exists():
         raise ConfigError(f"missing trained model: {model_manifest}")
     tokenizer = Tokenizer.load(paths["tokenizer"])
-    model = LatentTransformer.load(paths["model"])
+    manifest = read_model_manifest(paths["model"])
     K, grid = tokenizer.codebook.K, cfg.data.size // tokenizer.p
-    for name, got, want in (
-        ("codebook_size", model.codebook_size, K),
-        ("head_re width", model.params["head_re.w"].shape[-1], K),
-        ("head_im width", model.params["head_im.w"].shape[-1], K),
-        ("latent_dim", model.latent_dim, tokenizer.D),
-        ("seq_len", model.seq_len, grid * grid),
-    ):
-        if got != want:
+    # the model's tensor shapes follow from these, checked by its `load`
+    for name, want in (("codebook_size", K), ("latent_dim", tokenizer.D),
+                       ("seq_len", grid * grid)):
+        if manifest[name] != want:
             raise ConfigError(
                 f"{model_manifest} does not fit {paths['tokenizer']} at "
-                f"data.size {cfg.data.size}: {name} is {got}, expected {want}"
+                f"data.size {cfg.data.size}: {name} is {manifest[name]}, "
+                f"expected {want}"
             )
-    return tokenizer, model
+    return tokenizer, LatentTransformer.load(paths["model"], manifest)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ linear heads, one per stream, share the trunk.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -20,6 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tape
 from .errors import (
     ConfigError,
+    InvalidInputError,
     NotTrainedError,
     ShapeMismatchError,
     TrainingDivergedError,
@@ -133,6 +135,40 @@ def tokenize_image(tokenizer: Tokenizer, img: np.ndarray) -> TokenizedImage:
 # parameters
 # ---------------------------------------------------------------------------
 
+def param_spec(cfg: TransformerConfig, latent_dim: int, seq_len: int,
+               codebook_size: int) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Every parameter's shape and initial fill ("ones", "zeros", "normal"),
+    in the order `init_params` draws them."""
+    E, F = cfg.embed_dim, cfg.ffn_dim
+    spec: dict[str, tuple[tuple[int, ...], str]] = {
+        "fuse.gamma": ((latent_dim,), "ones"),
+        "fuse.beta": ((latent_dim,), "zeros"),
+        "input.w": ((latent_dim, E), "normal"),
+        "input.b": ((E,), "zeros"),
+        "pos": ((seq_len, E), "normal"),
+        "final.gamma": ((E,), "ones"),
+        "final.beta": ((E,), "zeros"),
+        "head_re.w": ((E, codebook_size), "zeros"),
+        "head_re.b": ((codebook_size,), "zeros"),
+        "head_im.w": ((E, codebook_size), "zeros"),
+        "head_im.b": ((codebook_size,), "zeros"),
+    }
+    for i in range(cfg.layers):
+        pre = f"layer{i}."
+        spec[pre + "ln1.gamma"] = ((E,), "ones")
+        spec[pre + "ln1.beta"] = ((E,), "zeros")
+        for m in "qkvo":
+            spec[pre + f"attn.w{m}"] = ((E, E), "normal")
+            spec[pre + f"attn.b{m}"] = ((E,), "zeros")
+        spec[pre + "ln2.gamma"] = ((E,), "ones")
+        spec[pre + "ln2.beta"] = ((E,), "zeros")
+        spec[pre + "ffn.w1"] = ((E, F), "normal")
+        spec[pre + "ffn.b1"] = ((F,), "zeros")
+        spec[pre + "ffn.w2"] = ((F, E), "normal")
+        spec[pre + "ffn.b2"] = ((E,), "zeros")
+    return spec
+
+
 def init_params(cfg: TransformerConfig, latent_dim: int, seq_len: int,
                 codebook_size: int, seed: int = 0) -> dict[str, np.ndarray]:
     """Fresh parameter set.
@@ -141,43 +177,10 @@ def init_params(cfg: TransformerConfig, latent_dim: int, seq_len: int,
     uniform; layer norms start at identity.
     """
     rng = np.random.default_rng(seed)
-    E, F = cfg.embed_dim, cfg.ffn_dim
-
-    def w(*shape):
-        return rng.normal(scale=0.02, size=shape)
-
-    params: dict[str, np.ndarray] = {
-        "fuse.gamma": np.ones(latent_dim),
-        "fuse.beta": np.zeros(latent_dim),
-        "input.w": w(latent_dim, E),
-        "input.b": np.zeros(E),
-        "pos": w(seq_len, E),
-        "final.gamma": np.ones(E),
-        "final.beta": np.zeros(E),
-        "head_re.w": np.zeros((E, codebook_size)),
-        "head_re.b": np.zeros(codebook_size),
-        "head_im.w": np.zeros((E, codebook_size)),
-        "head_im.b": np.zeros(codebook_size),
-    }
-    for i in range(cfg.layers):
-        pre = f"layer{i}."
-        params[pre + "ln1.gamma"] = np.ones(E)
-        params[pre + "ln1.beta"] = np.zeros(E)
-        params[pre + "attn.wq"] = w(E, E)
-        params[pre + "attn.bq"] = np.zeros(E)
-        params[pre + "attn.wk"] = w(E, E)
-        params[pre + "attn.bk"] = np.zeros(E)
-        params[pre + "attn.wv"] = w(E, E)
-        params[pre + "attn.bv"] = np.zeros(E)
-        params[pre + "attn.wo"] = w(E, E)
-        params[pre + "attn.bo"] = np.zeros(E)
-        params[pre + "ln2.gamma"] = np.ones(E)
-        params[pre + "ln2.beta"] = np.zeros(E)
-        params[pre + "ffn.w1"] = w(E, F)
-        params[pre + "ffn.b1"] = np.zeros(F)
-        params[pre + "ffn.w2"] = w(F, E)
-        params[pre + "ffn.b2"] = np.zeros(E)
-    return params
+    fill = {"ones": np.ones, "zeros": np.zeros,
+            "normal": lambda shape: rng.normal(scale=0.02, size=shape)}
+    return {name: fill[kind](shape) for name, (shape, kind)
+            in param_spec(cfg, latent_dim, seq_len, codebook_size).items()}
 
 
 def build_forward(tape: Tape, pids: dict[str, int], cfg: TransformerConfig,
@@ -291,21 +294,99 @@ class LatentTransformer:
         write_json(directory / "manifest.json", manifest)
 
     @classmethod
-    def load(cls, directory: str | Path) -> "LatentTransformer":
+    def load(cls, directory: str | Path,
+             manifest: dict | None = None) -> "LatentTransformer":
+        """Read a directory written by `save`.  `manifest` is the directory's
+        `read_model_manifest`, read here when not given.
+
+        A tensor that is missing from or extra to `param_spec`, a shape that
+        differs from it, a blob of the wrong byte length and NaN or Inf
+        values raise InvalidInputError naming the file and the tensor.
+        """
         directory = Path(directory)
-        manifest_path = directory / "manifest.json"
-        if not manifest_path.exists():
-            raise NotTrainedError(f"missing model manifest: {manifest_path}")
-        manifest = read_json(manifest_path)
-        cfg = TransformerConfig(**manifest["config"])
-        params = {}
-        for name, meta in manifest["tensors"].items():
-            raw = (directory / meta["file"]).read_bytes()
-            params[name] = np.frombuffer(raw, dtype="<f8").reshape(
-                meta["shape"]
-            ).astype(np.float64)
-        return cls(cfg, params, manifest["latent_dim"], manifest["seq_len"],
-                   manifest["codebook_size"])
+        if manifest is None:
+            manifest = read_model_manifest(directory)
+        path = directory / "manifest.json"
+        geometry = (manifest["latent_dim"], manifest["seq_len"],
+                    manifest["codebook_size"])
+        spec = param_spec(manifest["config"], *geometry)
+        tensors = manifest["tensors"]
+        for name in spec:
+            if name not in tensors:
+                raise InvalidInputError(f"{path}: tensor {name!r} is missing")
+        for name in tensors:
+            if name not in spec:
+                raise InvalidInputError(f"{path}: unexpected tensor {name!r}")
+        params = {name: _read_tensor(directory, name, meta, spec[name][0])
+                  for name, meta in tensors.items()}
+        return cls(manifest["config"], params, *geometry)
+
+
+def read_model_manifest(directory: str | Path) -> dict:
+    """The `manifest.json` of a model directory, checked: a JSON object with
+    every key `save` writes, integer geometry >= 1, a "config" that
+    `TransformerConfig` accepts (returned built) and a "tensors" object.
+    A problem raises InvalidInputError naming the file and the key.
+    """
+    path = Path(directory) / "manifest.json"
+    if not path.exists():
+        raise NotTrainedError(f"missing model manifest: {path}")
+    try:
+        manifest = read_json(path)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidInputError(f"{path}: not a JSON document: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise InvalidInputError(f"{path}: expected a JSON object")
+    for key in ("config", "latent_dim", "seq_len", "codebook_size", "tensors"):
+        if key not in manifest:
+            raise InvalidInputError(f"{path}: key {key!r} is missing")
+    for key in ("latent_dim", "seq_len", "codebook_size"):
+        if not _is_int(manifest[key]) or manifest[key] < 1:
+            raise InvalidInputError(f"{path}: key {key!r} must be an integer "
+                                    f">= 1, got {manifest[key]!r}")
+    config = manifest["config"]
+    if not (isinstance(config, dict)
+            and all(_is_int(v) and v >= 0 for v in config.values())):
+        raise InvalidInputError(f"{path}: key 'config' must map settings to "
+                                f"integers >= 0, got {config!r}")
+    try:
+        cfg = TransformerConfig(**config)
+    except (TypeError, ConfigError) as exc:
+        raise InvalidInputError(f"{path}: key 'config': {exc}") from None
+    tensors = manifest["tensors"]
+    if not isinstance(tensors, dict):
+        raise InvalidInputError(f"{path}: key 'tensors' must be a JSON object")
+    # every layer has tensors; checked before `param_spec` loops over layers
+    if cfg.layers > len(tensors):
+        raise InvalidInputError(f"{path}: key 'config' gives {cfg.layers} "
+                                f"layers, more than the {len(tensors)} tensors")
+    return {**manifest, "config": cfg}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _read_tensor(directory: Path, name: str, meta, shape: tuple) -> np.ndarray:
+    """Tensor `name` of a model directory as a finite float64 array of
+    `shape`, the shape its manifest must list."""
+    path = directory / "manifest.json"
+    if not (isinstance(meta, dict) and isinstance(meta.get("file"), str)):
+        raise InvalidInputError(f"{path}: tensor {name!r} names no file")
+    if meta.get("shape") != list(shape):
+        raise InvalidInputError(f"{path}: tensor {name!r} has shape "
+                                f"{meta.get('shape')!r}, expected {list(shape)}")
+    blob = directory / meta["file"]
+    raw = blob.read_bytes()
+    if len(raw) != 8 * math.prod(shape):
+        raise InvalidInputError(
+            f"{blob}: tensor {name!r} holds {len(raw)} bytes; shape "
+            f"{list(shape)} needs {8 * math.prod(shape)}"
+        )
+    arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{blob}: tensor {name!r} holds NaN or Inf values")
+    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,30 @@ def mini_run(tmp_path_factory):
     return cfg, gen, train, run
 
 
+def _artifact_copy(mini_run, tmp_path):
+    """The mini run's data and artifacts copied to `tmp_path / "out"`, and a
+    config file that points at the copy."""
+    cfg, *_ = mini_run
+    out = tmp_path / "out"
+    for folder in ("data", "artifacts"):
+        shutil.copytree(Path(cfg.out_dir) / folder, out / folder)
+    copy = ExperimentConfig.from_dict(cfg.to_dict())
+    copy.out_dir = str(out)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(copy.to_yaml())
+    return out, cfg_path
+
+
+def _truncate_blob(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _poison_blob(path, value):
+    arr = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+    arr[arr.size // 2] = value
+    path.write_bytes(arr.tobytes())
+
+
 class TestConfig:
     def test_round_trip_through_yaml(self):
         cfg = default_config()
@@ -349,6 +373,15 @@ class TestCLI:
         ("acquisition:\n  noise_sigma: -1.0\n", "acquisition: noise sigma"),
         ("data:\n  size: 32\nacquisition:\n  accelerations: [4]\n"
          "  T: 1\n  lines_per_step: 1\n", "acquisition: 1 steps of 1 lines"),
+        ("metrics:\n  psnr_cap: .nan\n", "metrics.psnr_cap"),
+        ("metrics:\n  psnr_cap: .inf\n", "metrics.psnr_cap"),
+        ("metrics:\n  psnr_cap: 0\n", "metrics.psnr_cap"),
+        ("metrics:\n  psnr_cap: -20.0\n", "metrics.psnr_cap"),
+        ("acquisition:\n  seeds: [0, 0]\n", "acquisition.seeds"),
+        ("acquisition:\n  accelerations: [4, 8, 4]\n",
+         "acquisition.accelerations"),
+        ("acquisition:\n  policies: [les, random, les]\n",
+         "acquisition.policies"),
     ])
     def test_out_of_range_value_exit_one(self, tmp_path, capsys, doc, key):
         cfg_path = tmp_path / "bad.yaml"
@@ -356,6 +389,31 @@ class TestCLI:
         assert main(["gen-data", "--config", str(cfg_path)]) == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--policy", "les", "--policy", "les"], "acquisition.policies"),
+        (["--accel", "4", "--accel", "4"], "acquisition.accelerations"),
+    ])
+    def test_duplicate_flag_exit_one(self, tmp_path, capsys, flags, key):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(mini_config(str(tmp_path / "out")).to_yaml())
+        assert main(["run", "--config", str(cfg_path), *flags]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["show-config", "gen-data"])
+    @pytest.mark.parametrize("text", [
+        "data: {size: 32,\n  n_train: [\n",
+        "data:\n  size: 32\n n_test: 4\n",
+        "\xff\xfe",
+    ])
+    def test_broken_yaml_exit_one(self, tmp_path, capsys, command, text):
+        cfg_path = tmp_path / "broken.yaml"
+        cfg_path.write_bytes(text.encode("latin-1"))
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg_path) in err and "YAML" in err
+        assert "Traceback" not in err
 
     def test_int_accepted_for_float_key(self):
         cfg = ExperimentConfig.from_dict({"train": {"lr": 1}})
@@ -408,22 +466,76 @@ class TestCLI:
         assert main(["bench", "--config", str(cfg_path)]) == 1
         assert "bench.accel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt, named", [
+        pytest.param(lambda m, d: m["tensors"].pop("pos"),
+                     ["manifest.json", "'pos'"], id="tensor-missing"),
+        pytest.param(lambda m, d: m["tensors"].update(
+                         extra={"file": "pos.bin", "shape": [16, 32]}),
+                     ["manifest.json", "'extra'"], id="tensor-extra"),
+        pytest.param(lambda m, d: m["tensors"]["head_re.b"].update(shape=[8]),
+                     ["manifest.json", "'head_re.b'"], id="shape-differs"),
+        pytest.param(lambda m, d: m["tensors"]["input.w"].pop("file"),
+                     ["manifest.json", "'input.w'"], id="no-file-name"),
+        pytest.param(lambda m, d: m.pop("tensors"),
+                     ["manifest.json", "'tensors'"], id="key-missing"),
+        pytest.param(lambda m, d: m.pop("config"),
+                     ["manifest.json", "'config'"], id="config-missing"),
+        pytest.param(lambda m, d: m["config"].update(layers="1"),
+                     ["manifest.json", "'config'"], id="config-not-int"),
+        pytest.param(lambda m, d: m["config"].update(depth=2),
+                     ["manifest.json", "'config'"], id="config-unknown-key"),
+        pytest.param(lambda m, d: m["config"].update(heads=0),
+                     ["manifest.json", "'config'"], id="config-heads-zero"),
+        pytest.param(lambda m, d: m["config"].update(layers=10**9),
+                     ["manifest.json", "1000000000 layers"], id="config-huge"),
+        pytest.param(lambda m, d: m.update(seq_len="16"),
+                     ["manifest.json", "'seq_len'"], id="geometry-not-int"),
+        pytest.param(lambda m, d: m.update(tensors=[]),
+                     ["manifest.json", "'tensors'"], id="tensors-not-object"),
+        pytest.param(lambda m, d: _truncate_blob(d / "pos.bin"),
+                     ["pos.bin", "'pos'"], id="blob-truncated"),
+        pytest.param(lambda m, d: _poison_blob(d / "layer0.ffn.w1.bin", np.nan),
+                     ["layer0.ffn.w1.bin", "'layer0.ffn.w1'"], id="blob-nan"),
+        pytest.param(lambda m, d: _poison_blob(d / "head_im.w.bin", -np.inf),
+                     ["head_im.w.bin", "'head_im.w'"], id="blob-inf"),
+    ])
+    def test_corrupt_model_exit_one(self, mini_run, tmp_path, capsys, corrupt,
+                                    named):
+        out, cfg_path = _artifact_copy(mini_run, tmp_path)
+        model_dir = out / "artifacts" / "model"
+        manifest_path = model_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        corrupt(manifest, model_dir)
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert all(name in err for name in named), err
+        assert "Traceback" not in err
+        assert not (out / "results").exists()
+
+    @pytest.mark.parametrize("text, named", [
+        ("[1, 2]", "expected a JSON object"),
+        ("{not json", "not a JSON document"),
+    ])
+    def test_model_manifest_not_an_object_exit_one(self, mini_run, tmp_path,
+                                                   capsys, text, named):
+        out, cfg_path = _artifact_copy(mini_run, tmp_path)
+        manifest_path = out / "artifacts" / "model" / "manifest.json"
+        manifest_path.write_text(text)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert str(manifest_path) in err and named in err
+        assert not (out / "results").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("codebook_size", 999), ("latent_dim", 999), ("seq_len", 999)])
     def test_artifact_geometry_mismatch_exit_one(self, mini_run, tmp_path,
                                                  capsys, key, value):
-        cfg, *_ = mini_run
-        out = tmp_path / "out"
-        for folder in ("data", "artifacts"):
-            shutil.copytree(Path(cfg.out_dir) / folder, out / folder)
+        out, cfg_path = _artifact_copy(mini_run, tmp_path)
         manifest_path = out / "artifacts" / "model" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest[key] = value
         manifest_path.write_text(json.dumps(manifest))
-        bad = ExperimentConfig.from_dict(cfg.to_dict())
-        bad.out_dir = str(out)
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(bad.to_yaml())
         assert main(["run", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert f"{key} is {value}" in err

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tokmri.errors import GeometryError, ShapeMismatchError, UndefinedMetricError
-from tokmri.metrics import evaluate, nmse, psnr, ssim
+from tokmri.metrics import evaluate, nmse, psnr, ssim, window_mean
 
 RNG = np.random.default_rng(55)
 
@@ -106,9 +108,48 @@ class TestSSIM:
         est = np.clip(ref + RNG.normal(scale=0.1, size=ref.shape), 0, None)
         assert abs(ssim(ref, est) - ssim_windowed_oracle(ref, est)) < 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(7, 40), st.integers(7, 40), st.floats(-3.0, 3.0),
+           st.integers(0, 2**32 - 1))
+    @example(7, 7, 0.0, 1)
+    @example(7, 40, -3.0, 2)
+    @example(40, 7, 3.0, 3)
+    def test_matches_windowed_oracle_property(self, H, W, log_mag, seed):
+        rng = np.random.default_rng(seed)
+        mag = 10.0 ** log_mag
+        ref = rng.random((H, W)) * mag
+        est = np.abs(ref + rng.normal(scale=0.2 * mag, size=ref.shape))
+        assert abs(ssim(ref, est) - ssim_windowed_oracle(ref, est)) < 1e-10
+
     def test_too_small_image(self):
         with pytest.raises(GeometryError):
             ssim(np.zeros((5, 5)), np.zeros((5, 5)))
+
+
+class TestWindowMean:
+    @staticmethod
+    def summed(x, w=7):
+        H, W = x.shape
+        return np.array([[np.sum(x[r:r + w, c:c + w]) / (w * w)
+                          for c in range(W - w + 1)] for r in range(H - w + 1)])
+
+    @pytest.mark.parametrize("shape", [(7, 7), (7, 8), (7, 33), (8, 7),
+                                       (33, 7), (64, 7), (7, 64)])
+    def test_one_output_row_or_column(self, shape):
+        x = RNG.random(shape) * 100.0
+        got = window_mean(x, 7)
+        want = self.summed(x)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("shape", [(7, 8), (8, 8), (16, 16), (20, 14),
+                                       (31, 57), (64, 64), (128, 128)])
+    def test_bit_equal_to_sliding_window_mean(self, shape):
+        # the sum order keeps the bits of the strided mean it replaced, so
+        # stored metrics do not change; images 7 px wide are the exception
+        x = RNG.random(shape) * 10.0
+        strided = np.lib.stride_tricks.sliding_window_view(x, (7, 7))
+        assert np.array_equal(window_mean(x, 7), strided.mean(axis=(-2, -1)))
 
 
 class TestReport:
