@@ -8,9 +8,7 @@ and seed produces byte-identical outputs (bench wall-clock fields aside).
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,9 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .metrics import evaluate
 from .model import (
+    AdamState,
     LatentTransformer,
     TrainState,
     read_model_manifest,
@@ -29,20 +28,18 @@ from .model import (
 from .phantoms import make_splits, random_ellipse_phantom
 from .policies import AcquisitionTrajectory, run_acquisition
 from .storage import (
-    atomic_write_bytes,
     atomic_write_text,
+    is_int,
     load_ctns,
     read_json,
+    read_npz,
     save_ctns,
     save_mask,
+    write_csv,
     write_json,
+    write_npz,
 )
 from .tokenizer import Tokenizer, channel_stats, normalize_channel, train_tokenizer
-
-
-def _fmt(x) -> str:
-    """Shortest round-trip float formatting; stable across runs."""
-    return repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +88,19 @@ def load_split(cfg: ExperimentConfig, split: str) -> list[tuple[str, np.ndarray]
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"missing data manifest: {manifest_path} (run gen-data)")
-    manifest = read_json(manifest_path)
-    try:
-        entries = manifest["splits"][split]
-    except (KeyError, TypeError):
-        raise ConfigError(f"{manifest_path}: no split {split!r}") from None
+    splits = read_json(manifest_path).get("splits")
+    entries = splits.get(split) if isinstance(splits, dict) else None
+    if entries is None:
+        raise ConfigError(f"{manifest_path}: no split {split!r}")
+    if not isinstance(entries, list):
+        raise ConfigError(f"{manifest_path}: split {split!r} is not a list")
     images = []
     for i, entry in enumerate(entries):
         for key in ("id", "file"):
-            if not isinstance(entry, dict) or key not in entry:
+            if not (isinstance(entry, dict) and isinstance(entry.get(key), str)):
                 raise ConfigError(
                     f"{manifest_path}: split {split!r} entry {i} has no "
-                    f"{key!r} key"
+                    f"{key!r} key with a string value"
                 )
         images.append((entry["id"], load_ctns(data_dir / entry["file"])))
     return images
@@ -137,9 +135,7 @@ def save_checkpoint(state: TrainState, directory: Path) -> None:
     state.model.save(directory / "model")
     opt = {f"m.{k}": v for k, v in state.adam.m.items()}
     opt.update({f"v.{k}": v for k, v in state.adam.v.items()})
-    buf = io.BytesIO()
-    np.savez(buf, **opt)
-    atomic_write_bytes(directory / "optimizer.npz", buf.getvalue())
+    write_npz(directory / "optimizer.npz", opt)
     write_json(directory / "meta.json", {
         "epoch": state.epoch,
         "adam_t": state.adam.t,
@@ -149,32 +145,65 @@ def save_checkpoint(state: TrainState, directory: Path) -> None:
 
 
 def load_checkpoint(directory: Path) -> TrainState:
-    from .model import AdamState
+    """Read a directory written by `save_checkpoint`.
 
+    A `meta.json` without an integer `epoch` and `adam_t` >= 0, a `trace` of
+    [epoch, step, token_ce] rows and a PCG64 `rng_state`, a model directory
+    that `LatentTransformer.load` rejects, and an `optimizer.npz` whose
+    moments are not exactly one finite `m.<name>` and `v.<name>` of each
+    parameter's shape raise InvalidInputError naming the file.
+    """
     directory = Path(directory)
     meta_path = directory / "meta.json"
     if not meta_path.exists():
         raise ConfigError(f"missing checkpoint meta: {meta_path}")
     meta = read_json(meta_path)
+    for key in ("epoch", "adam_t"):
+        if not is_int(meta.get(key)) or meta[key] < 0:
+            raise InvalidInputError(f"{meta_path}: key {key!r} must be an "
+                                    f"integer >= 0, got {meta.get(key)!r}")
+    trace = meta.get("trace")
+    if not (isinstance(trace, list) and all(
+            isinstance(row, list) and len(row) == 3 and is_int(row[0])
+            and is_int(row[1]) and (is_int(row[2]) or isinstance(row[2], float))
+            for row in trace)):
+        raise InvalidInputError(f"{meta_path}: key 'trace' must be a list of "
+                                f"[epoch, step, token_ce] rows")
+    # the generator accepts and returns unchanged only a complete PCG64 state
+    bitgen = np.random.PCG64()
+    try:
+        bitgen.state = meta.get("rng_state")
+        rng_ok = bitgen.state == meta["rng_state"]
+    except (TypeError, ValueError, KeyError, OverflowError):
+        rng_ok = False
+    if not rng_ok:
+        raise InvalidInputError(f"{meta_path}: key 'rng_state' must be a "
+                                f"PCG64 generator state")
+
     model = LatentTransformer.load(directory / "model")
-    with np.load(directory / "optimizer.npz") as opt:
-        m = {k[2:]: opt[k].copy() for k in opt.files if k.startswith("m.")}
-        v = {k[2:]: opt[k].copy() for k in opt.files if k.startswith("v.")}
-    rng_state = meta["rng_state"]
-    if rng_state is not None:
-        # JSON round-trips the PCG64 integers losslessly but not their types
-        rng_state = {
-            "bit_generator": rng_state["bit_generator"],
-            "state": {k: int(v_) for k, v_ in rng_state["state"].items()},
-            "has_uint32": int(rng_state["has_uint32"]),
-            "uinteger": int(rng_state["uinteger"]),
-        }
+    opt_path = directory / "optimizer.npz"
+    opt = read_npz(opt_path)
+    shapes = {f"{s}.{name}": arr.shape
+              for s in "mv" for name, arr in model.params.items()}
+    if opt.keys() != shapes.keys():
+        raise InvalidInputError(
+            f"{opt_path}: moments {sorted(opt.keys() ^ shapes.keys())} are "
+            f"missing or extra; the model's parameters need one m.* and v.* each"
+        )
+    for key, arr in opt.items():
+        if not (arr.dtype == np.float64 and arr.shape == shapes[key]
+                and np.all(np.isfinite(arr))):
+            raise InvalidInputError(f"{opt_path}: moment {key!r} must be a "
+                                    f"finite float64 array of shape "
+                                    f"{list(shapes[key])}")
     return TrainState(
         model=model,
-        adam=AdamState(m=m, v=v, t=int(meta["adam_t"])),
-        epoch=int(meta["epoch"]),
-        trace=[tuple(row) for row in meta["trace"]],
-        rng_state=rng_state,
+        adam=AdamState(m={k[2:]: a for k, a in opt.items() if k[0] == "m"},
+                       v={k[2:]: a for k, a in opt.items() if k[0] == "v"},
+                       t=meta["adam_t"]),
+        epoch=meta["epoch"],
+        trace=[(e, s, float(ce)) for e, s, ce in trace],
+        rng_state=bitgen.state,
     )
 
 
@@ -182,6 +211,14 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
     paths = _artifact_paths(cfg)
     train_images = load_split(cfg, "train")
     images = [img for _, img in train_images]
+    resume = None
+    if cfg.train.resume_from:
+        resume = load_checkpoint(Path(cfg.train.resume_from))
+        t = cfg.tokenizer
+        _check_fit(vars(resume.model), t.K, t.D, t.p, cfg.data.size,
+                   f"{Path(cfg.train.resume_from) / 'model'} does not fit "
+                   f"tokenizer.K {t.K}, D {t.D} and p {t.p} at data.size "
+                   f"{cfg.data.size}")
 
     # tokenizer sees per-image-normalized channels, like the encoder will
     channels = []
@@ -199,9 +236,6 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
     tok.save(paths["tokenizer"])
 
     sampler, noise = cfg.train.corruption(cfg.acquisition.rho_c)
-    resume = None
-    if cfg.train.resume_from:
-        resume = load_checkpoint(Path(cfg.train.resume_from))
     state = train_model(
         images,
         tok,
@@ -217,9 +251,7 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
     )
     state.model.save(paths["model"])
 
-    rows = ["epoch,step,token_ce"]
-    rows += [f"{e},{s},{_fmt(l)}" for e, s, l in state.trace]
-    atomic_write_text(paths["loss_trace"], "\n".join(rows) + "\n")
+    write_csv(paths["loss_trace"], ["epoch", "step", "token_ce"], state.trace)
 
     final_ce = float(state.trace[-1][2]) if state.trace else float("nan")
     write_json(paths["train_report"], {
@@ -246,17 +278,21 @@ def load_artifacts(cfg: ExperimentConfig) -> tuple[Tokenizer, LatentTransformer]
         raise ConfigError(f"missing trained model: {model_manifest}")
     tokenizer = Tokenizer.load(paths["tokenizer"])
     manifest = read_model_manifest(paths["model"])
-    K, grid = tokenizer.codebook.K, cfg.data.size // tokenizer.p
     # the model's tensor shapes follow from these, checked by its `load`
-    for name, want in (("codebook_size", K), ("latent_dim", tokenizer.D),
-                       ("seq_len", grid * grid)):
-        if manifest[name] != want:
-            raise ConfigError(
-                f"{model_manifest} does not fit {paths['tokenizer']} at "
-                f"data.size {cfg.data.size}: {name} is {manifest[name]}, "
-                f"expected {want}"
-            )
+    _check_fit(manifest, tokenizer.codebook.K, tokenizer.D, tokenizer.p,
+               cfg.data.size, f"{model_manifest} does not fit "
+               f"{paths['tokenizer']} at data.size {cfg.data.size}")
     return tokenizer, LatentTransformer.load(paths["model"], manifest)
+
+
+def _check_fit(model: dict, K: int, D: int, p: int, size: int, what: str):
+    """Raise ConfigError, its message starting with `what`, unless a model's
+    `codebook_size`, `latent_dim` and `seq_len` are those of a tokenizer with
+    K entries of dimension D on p×p patches of size² images."""
+    for name, want in (("codebook_size", K), ("latent_dim", D),
+                       ("seq_len", (size // p) ** 2)):
+        if model[name] != want:
+            raise ConfigError(f"{what}: {name} is {model[name]}, expected {want}")
 
 
 # ---------------------------------------------------------------------------
@@ -362,21 +398,10 @@ def cmd_run(cfg: ExperimentConfig) -> RunResult:
             "nmse": float(np.mean([r["nmse"] for r in rows])),
         })
 
-    def csv_cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return _fmt(v)
-        return str(v)
-
     cols = ["image_id", "policy", "R", "T", "psnr", "ssim", "nmse"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    for row in metric_rows + summaries:
-        writer.writerow([csv_cell(row[c]) for c in cols])
     metrics_csv = res_dir / "metrics.csv"
-    atomic_write_text(metrics_csv, buf.getvalue())
+    write_csv(metrics_csv, cols,
+              ([row[c] for c in cols] for row in metric_rows + summaries))
 
     metrics_json = res_dir / "metrics.json"
     write_json(metrics_json, {
@@ -388,13 +413,9 @@ def cmd_run(cfg: ExperimentConfig) -> RunResult:
     })
 
     curve_cols = ["policy", "R", "seed", "image_id", "steps_done", "nmse"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(curve_cols)
-    for row in curve_rows:
-        writer.writerow([csv_cell(row[c]) for c in curve_cols])
     curves_csv = res_dir / "curves.csv"
-    atomic_write_text(curves_csv, buf.getvalue())
+    write_csv(curves_csv, curve_cols,
+              ([row[c] for c in curve_cols] for row in curve_rows))
 
     return RunResult(
         metrics_csv=metrics_csv,
@@ -454,10 +475,8 @@ def cmd_bench(cfg: ExperimentConfig) -> BenchResult:
         })
     write_json(bench_dir / "latency.json", {"rows": rows})
     cols = ["policy", "steps", "step_ms_mean", "step_ms_std", "total_s"]
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(str(row[c]) for c in cols))
-    atomic_write_text(bench_dir / "latency.csv", "\n".join(lines) + "\n")
+    write_csv(bench_dir / "latency.csv", cols,
+              ([row[c] for c in cols] for row in rows))
     return BenchResult(
         report_json=bench_dir / "latency.json",
         report_csv=bench_dir / "latency.csv",

@@ -64,8 +64,6 @@ class PipelineState:
     q_re_id: int
     q_im_id: int
     loss_id: int
-    idx_re: np.ndarray | None
-    idx_im: np.ndarray | None
     dist_re: TokenDistribution
     dist_im: TokenDistribution
     stats_re: ChannelStats
@@ -107,18 +105,15 @@ def pipeline_forward(
 
     lat_ids = []
     q_ids = []
-    idx = []
     for k, ch_id in enumerate(ch_ids):
         z_id = ad.t_channel_norm(tape, ch_id, eps=CHANNEL_NORM_EPS)
         patches_id = ad.t_patchify(tape, z_id, p)
         lat_id = ad.t_affine(tape, patches_id, enc_wt, enc_b, name="encode")
         lat_ids.append(lat_id)
         if frozen_offsets is None:
-            indices, q_id = ad.t_ste_quantize(tape, lat_id, tokenizer.codebook)
-            idx.append(indices)
+            _, q_id = ad.t_ste_quantize(tape, lat_id, tokenizer.codebook)
         else:
             q_id = ad.t_frozen_shift(tape, lat_id, frozen_offsets[k])
-            idx.append(None)
         q_ids.append(q_id)
 
     pids = model.source_params(tape)
@@ -137,8 +132,6 @@ def pipeline_forward(
         q_re_id=q_ids[0],
         q_im_id=q_ids[1],
         loss_id=loss_id,
-        idx_re=idx[0],
-        idx_im=idx[1],
         dist_re=TokenDistribution("re", ad.softmax(logits_re), logits_re),
         dist_im=TokenDistribution("im", ad.softmax(logits_im), logits_im),
         stats_re=channel_stats(tape.val(ch_ids[0])),

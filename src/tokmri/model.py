@@ -10,7 +10,6 @@ linear heads, one per stream, share the trunk.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -34,7 +33,14 @@ from .fourier import (
     round_half_away,
     zero_fill,
 )
-from .storage import atomic_write_bytes, read_json, write_json
+from .storage import (
+    atomic_write_bytes,
+    decode_floats,
+    encode_f64,
+    is_int,
+    read_json,
+    write_json,
+)
 from .tokenizer import (
     ChannelStats,
     Codebook,
@@ -288,8 +294,8 @@ class LatentTransformer:
         }
         for name in sorted(self.params):
             fname = name.replace("/", "_") + ".bin"
-            arr = np.ascontiguousarray(self.params[name], dtype="<f8")
-            atomic_write_bytes(directory / fname, arr.tobytes())
+            arr = self.params[name]
+            atomic_write_bytes(directory / fname, encode_f64(arr))
             manifest["tensors"][name] = {"file": fname, "shape": list(arr.shape)}
         write_json(directory / "manifest.json", manifest)
 
@@ -317,8 +323,18 @@ class LatentTransformer:
         for name in tensors:
             if name not in spec:
                 raise InvalidInputError(f"{path}: unexpected tensor {name!r}")
-        params = {name: _read_tensor(directory, name, meta, spec[name][0])
-                  for name, meta in tensors.items()}
+        params = {}
+        for name, meta in tensors.items():
+            shape = spec[name][0]
+            if not (isinstance(meta, dict) and isinstance(meta.get("file"), str)):
+                raise InvalidInputError(f"{path}: tensor {name!r} names no file")
+            if meta.get("shape") != list(shape):
+                raise InvalidInputError(f"{path}: tensor {name!r} has shape "
+                                        f"{meta.get('shape')!r}, expected "
+                                        f"{list(shape)}")
+            blob = directory / meta["file"]
+            params[name] = decode_floats(blob.read_bytes(), shape,
+                                         f"{blob}: tensor {name!r}")
         return cls(manifest["config"], params, *geometry)
 
 
@@ -331,22 +347,17 @@ def read_model_manifest(directory: str | Path) -> dict:
     path = Path(directory) / "manifest.json"
     if not path.exists():
         raise NotTrainedError(f"missing model manifest: {path}")
-    try:
-        manifest = read_json(path)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"{path}: not a JSON document: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise InvalidInputError(f"{path}: expected a JSON object")
+    manifest = read_json(path)
     for key in ("config", "latent_dim", "seq_len", "codebook_size", "tensors"):
         if key not in manifest:
             raise InvalidInputError(f"{path}: key {key!r} is missing")
     for key in ("latent_dim", "seq_len", "codebook_size"):
-        if not _is_int(manifest[key]) or manifest[key] < 1:
+        if not is_int(manifest[key]) or manifest[key] < 1:
             raise InvalidInputError(f"{path}: key {key!r} must be an integer "
                                     f">= 1, got {manifest[key]!r}")
     config = manifest["config"]
     if not (isinstance(config, dict)
-            and all(_is_int(v) and v >= 0 for v in config.values())):
+            and all(is_int(v) and v >= 0 for v in config.values())):
         raise InvalidInputError(f"{path}: key 'config' must map settings to "
                                 f"integers >= 0, got {config!r}")
     try:
@@ -361,32 +372,6 @@ def read_model_manifest(directory: str | Path) -> dict:
         raise InvalidInputError(f"{path}: key 'config' gives {cfg.layers} "
                                 f"layers, more than the {len(tensors)} tensors")
     return {**manifest, "config": cfg}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _read_tensor(directory: Path, name: str, meta, shape: tuple) -> np.ndarray:
-    """Tensor `name` of a model directory as a finite float64 array of
-    `shape`, the shape its manifest must list."""
-    path = directory / "manifest.json"
-    if not (isinstance(meta, dict) and isinstance(meta.get("file"), str)):
-        raise InvalidInputError(f"{path}: tensor {name!r} names no file")
-    if meta.get("shape") != list(shape):
-        raise InvalidInputError(f"{path}: tensor {name!r} has shape "
-                                f"{meta.get('shape')!r}, expected {list(shape)}")
-    blob = directory / meta["file"]
-    raw = blob.read_bytes()
-    if len(raw) != 8 * math.prod(shape):
-        raise InvalidInputError(
-            f"{blob}: tensor {name!r} holds {len(raw)} bytes; shape "
-            f"{list(shape)} needs {8 * math.prod(shape)}"
-        )
-    arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{blob}: tensor {name!r} holds NaN or Inf values")
-    return arr
 
 
 # ---------------------------------------------------------------------------

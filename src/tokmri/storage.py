@@ -1,4 +1,8 @@
-"""File formats: CTNS complex tensors, mask JSON, and atomic writes.
+"""File formats: JSON, float64 payloads, CSV, npz, CTNS complex tensors and
+mask JSON, each read, checked and written here, and atomic writes.
+
+A reader fails closed: a file it cannot use raises InvalidInputError whose
+message starts with the file's path.
 
 CTNS layout (all little-endian):
 
@@ -12,10 +16,14 @@ CTNS layout (all little-endian):
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import os
 import struct
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +59,78 @@ def write_json(path: str | Path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(path: str | Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def read_json(path: str | Path) -> dict:
+    """The top-level JSON object of a file.  A file that is not UTF-8, not
+    JSON or whose document is not an object raises InvalidInputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidInputError(f"{path}: not a JSON document: {exc}") from None
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{path}: expected a JSON object")
+    return obj
+
+
+def is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def encode_f64(arr: np.ndarray) -> bytes:
+    """Row-major little-endian float64 bytes of an array."""
+    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
+
+def decode_floats(raw, shape: tuple, where: str, dtype: str = "<f8") -> np.ndarray:
+    """`raw` read as row-major little-endian `dtype` ("<f8" or "<f4") values,
+    as a float64 array of `shape`.  A byte length that `shape` does not give
+    or a NaN or Inf value raises InvalidInputError; its message starts with
+    `where`, which names the file and the field."""
+    need = np.dtype(dtype).itemsize * math.prod(shape)
+    if len(raw) != need:
+        raise InvalidInputError(
+            f"{where} holds {len(raw)} bytes; shape {list(shape)} needs {need}"
+        )
+    arr = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{where} holds NaN or Inf values")
+    return arr
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))  # shortest round-trip form
+    return str(value)
+
+
+def write_csv(path: str | Path, columns, rows) -> None:
+    """A header of `columns`, then one line per row of cells in column order:
+    a float in its shortest round-trip form, None as an empty cell, anything
+    else by `str`.  Lines end in "\n"."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    atomic_write_text(path, buf.getvalue())
+
+
+def write_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    atomic_write_bytes(path, buf.getvalue())
+
+
+def read_npz(path: str | Path) -> dict[str, np.ndarray]:
+    """Every array of an npz archive by name.  A file that is not an npz
+    archive, or that holds pickled objects, raises InvalidInputError."""
+    try:
+        with np.load(path) as archive:  # an .npy file loads as an array: TypeError
+            return {name: archive[name] for name in archive.files}
+    except (ValueError, EOFError, TypeError, zipfile.BadZipFile) as exc:
+        raise InvalidInputError(f"{path}: not an npz archive: {exc}") from None
 
 
 def save_ctns(path: str | Path, data: np.ndarray, dtype: str = "float64") -> None:
@@ -84,13 +161,8 @@ def load_ctns(path: str | Path) -> np.ndarray:
         raise InvalidInputError(f"{path}: unsupported CTNS version {version}")
     if code not in (0, 1):
         raise InvalidInputError(f"{path}: unknown dtype code {code}")
-    fdtype = "<f4" if code == 0 else "<f8"
-    pairs = np.frombuffer(raw, dtype=fdtype, offset=_HEADER.size)
-    if pairs.size != h * w * 2:
-        raise InvalidInputError(f"{path}: payload size mismatch")
-    pairs = pairs.reshape(h, w, 2).astype(np.float64)
-    if not np.all(np.isfinite(pairs)):
-        raise InvalidInputError(f"{path}: payload holds NaN or Inf values")
+    pairs = decode_floats(memoryview(raw)[_HEADER.size:], (h, w, 2),
+                          f"{path}: payload", "<f4" if code == 0 else "<f8")
     return pairs[..., 0] + 1j * pairs[..., 1]
 
 

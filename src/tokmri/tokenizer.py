@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import base64
 import binascii
-import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,10 +23,9 @@ from .errors import (
     DegenerateDataError,
     GeometryError,
     InvalidInputError,
-    NotTrainedError,
     ShapeMismatchError,
 )
-from .storage import atomic_write_text, read_json
+from .storage import decode_floats, encode_f64, is_int, read_json, write_json
 
 CHANNEL_NORM_EPS = 1e-12
 # Rows per block of the nearest-entry search: one block's distance matrix is
@@ -178,34 +175,20 @@ def quantize(lat: LatentGrid, cb: Codebook) -> tuple[np.ndarray, LatentGrid]:
 class Tokenizer:
     """Affine patch encoder + codebook + affine decoder."""
 
-    def __init__(self, p, enc_w=None, enc_b=None, dec_w=None, dec_b=None,
-                 codebook=None):
+    def __init__(self, p, enc_w, enc_b, dec_w, dec_b, codebook: Codebook):
         self.p = int(p)
-        self.enc_w = None if enc_w is None else np.asarray(enc_w, dtype=np.float64)
-        self.enc_b = None if enc_b is None else np.asarray(enc_b, dtype=np.float64)
-        self.dec_w = None if dec_w is None else np.asarray(dec_w, dtype=np.float64)
-        self.dec_b = None if dec_b is None else np.asarray(dec_b, dtype=np.float64)
+        self.enc_w = np.asarray(enc_w, dtype=np.float64)
+        self.enc_b = np.asarray(enc_b, dtype=np.float64)
+        self.dec_w = np.asarray(dec_w, dtype=np.float64)
+        self.dec_b = np.asarray(dec_b, dtype=np.float64)
         self.codebook = codebook
 
     @property
-    def is_trained(self) -> bool:
-        return all(
-            v is not None
-            for v in (self.enc_w, self.enc_b, self.dec_w, self.dec_b, self.codebook)
-        )
-
-    @property
     def D(self) -> int:
-        self._require_trained()
         return self.enc_w.shape[0]
-
-    def _require_trained(self):
-        if not self.is_trained:
-            raise NotTrainedError("tokenizer has no trained weights")
 
     def encode(self, img_channel: np.ndarray) -> LatentGrid:
         """Affine projection of each patch to D latent dims."""
-        self._require_trained()
         x = np.asarray(img_channel, dtype=np.float64)
         gh, gw = x.shape[0] // self.p, x.shape[1] // self.p
         patches = patchify(x, self.p)
@@ -213,27 +196,20 @@ class Tokenizer:
 
     def decode(self, lat: LatentGrid) -> np.ndarray:
         """Affine map back to patches, then reassembly to an image channel."""
-        self._require_trained()
         patches = lat.vectors @ self.dec_w.T + self.dec_b
         return unpatchify(patches, lat.grid_h, lat.grid_w, self.p)
 
     def quantize(self, lat: LatentGrid) -> tuple[np.ndarray, LatentGrid]:
-        self._require_trained()
         return quantize(lat, self.codebook)
 
     def save(self, path: str | Path) -> None:
-        self._require_trained()
-        obj = {
-            "K": self.codebook.K,
-            "D": self.D,
-            "p": self.p,
-            "entries": _encode_f64(self.codebook.entries),
-            "enc_w": _encode_f64(self.enc_w),
-            "enc_b": _encode_f64(self.enc_b),
-            "dec_w": _encode_f64(self.dec_w),
-            "dec_b": _encode_f64(self.dec_b),
-        }
-        atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        arrays = {"entries": self.codebook.entries, "enc_w": self.enc_w,
+                  "enc_b": self.enc_b, "dec_w": self.dec_w, "dec_b": self.dec_b}
+        write_json(path, {
+            "K": self.codebook.K, "D": self.D, "p": self.p,
+            **{name: base64.b64encode(encode_f64(arr)).decode("ascii")
+               for name, arr in arrays.items()},
+        })
 
     @classmethod
     def load(cls, path: str | Path) -> "Tokenizer":
@@ -243,54 +219,31 @@ class Tokenizer:
         non-finite field, raises InvalidInputError naming the file and the
         field.
         """
-        try:
-            obj = read_json(path)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise InvalidInputError(f"{path}: not a JSON document: {exc}") from None
-        if not isinstance(obj, dict):
-            raise InvalidInputError(f"{path}: expected a JSON object")
+        obj = read_json(path)
         for key in ("K", "D", "p"):
             value = obj.get(key)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if not is_int(value) or value < 1:
                 raise InvalidInputError(
                     f"{path}: field {key!r} must be an integer >= 1, got {value!r}"
                 )
         K, D, p = obj["K"], obj["D"], obj["p"]
         shapes = {"enc_w": (D, p * p), "enc_b": (D,), "dec_w": (p * p, D),
                   "dec_b": (p * p,), "entries": (K, D)}
-        arrays = {name: _decode_f64(path, obj, name, shape)
-                  for name, shape in shapes.items()}
+        arrays = {}
+        for name, shape in shapes.items():
+            where, text = f"{path}: field {name!r}", obj.get(name)
+            if not isinstance(text, str):
+                raise InvalidInputError(f"{where} is missing or not a string")
+            try:
+                raw = base64.b64decode(text, validate=True)
+            except binascii.Error:
+                raise InvalidInputError(f"{where} is not base64") from None
+            arrays[name] = decode_floats(raw, shape, where)
         try:
             codebook = Codebook(arrays.pop("entries"))
         except InvalidInputError as exc:
             raise InvalidInputError(f"{path}: field 'entries': {exc}") from None
         return cls(p=p, codebook=codebook, **arrays)
-
-
-def _encode_f64(arr: np.ndarray) -> str:
-    return base64.b64encode(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    ).decode("ascii")
-
-
-def _decode_f64(path, obj: dict, name: str, shape: tuple) -> np.ndarray:
-    """Field `name` of a tokenizer file as a finite float64 array of `shape`."""
-    text = obj.get(name)
-    if not isinstance(text, str):
-        raise InvalidInputError(f"{path}: field {name!r} is missing or not a string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except binascii.Error:
-        raise InvalidInputError(f"{path}: field {name!r} is not base64") from None
-    if len(raw) != 8 * math.prod(shape):
-        raise InvalidInputError(
-            f"{path}: field {name!r} holds {len(raw)} bytes; K, D and p "
-            f"give shape {shape}, {8 * math.prod(shape)} bytes"
-        )
-    arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{path}: field {name!r} holds NaN or Inf values")
-    return arr
 
 
 def kmeans(

@@ -81,6 +81,13 @@ def _poison_blob(path, value):
     path.write_bytes(arr.tobytes())
 
 
+def _edit_npz(path, edit):
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    edit(arrays)
+    np.savez(path, **arrays)
+
+
 class TestConfig:
     def test_round_trip_through_yaml(self):
         cfg = default_config()
@@ -432,6 +439,29 @@ class TestCLI:
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert "split 'train' entry 1 has no 'file' key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, named", [
+        pytest.param(b"{not json", "not a JSON document", id="not-json"),
+        pytest.param(b"\xff\xfe", "not a JSON document", id="not-utf8"),
+        pytest.param(b"[1, 2]", "expected a JSON object", id="top-level-list"),
+        pytest.param(b'{"splits": {"train": {"id": "a"}}}',
+                     "split 'train' is not a list", id="split-not-list"),
+        pytest.param(b'{"splits": {"train": [{"id": "a", "file": 5}]}}',
+                     "entry 0 has no 'file' key with a string value",
+                     id="file-not-string"),
+    ])
+    def test_corrupt_data_manifest_exit_one(self, tmp_path, capsys, text,
+                                            named):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg = mini_config(str(tmp_path / "out"))
+        cfg_path.write_text(cfg.to_yaml())
+        manifest_path = tmp_path / "out" / "data" / "manifest.json"
+        manifest_path.parent.mkdir(parents=True)
+        manifest_path.write_bytes(text)
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert str(manifest_path) in lines[0] and named in lines[0]
+
     def test_removed_workers_key_exit_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "old.yaml"
         cfg_path.write_text(f"out_dir: {tmp_path / 'out'}\nworkers: 2\n")
@@ -526,6 +556,75 @@ class TestCLI:
         err = capsys.readouterr().err
         assert str(manifest_path) in err and named in err
         assert not (out / "results").exists()
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        """Fail the test if train starts a training epoch."""
+        import tokmri.experiment as exp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(exp, "train_model", refuse)
+
+    @pytest.mark.parametrize("corrupt, named", [
+        pytest.param(lambda meta, opt: meta.pop("rng_state"),
+                     ["meta.json", "'rng_state'"], id="no-rng-state"),
+        pytest.param(lambda meta, opt: meta["rng_state"].update(
+                         bit_generator="MT19937"),
+                     ["meta.json", "'rng_state'"], id="rng-state-not-pcg64"),
+        pytest.param(lambda meta, opt: meta.update(adam_t="3"),
+                     ["meta.json", "'adam_t'"], id="adam-t-string"),
+        pytest.param(lambda meta, opt: meta["trace"].append([0, 1]),
+                     ["meta.json", "'trace'"], id="trace-short-row"),
+        pytest.param(lambda meta, opt: opt.write_text("not an archive"),
+                     ["optimizer.npz"], id="npz-not-npz"),
+        pytest.param(lambda meta, opt: _edit_npz(opt, lambda a: a.pop("m.pos")),
+                     ["optimizer.npz", "m.pos"], id="moment-missing"),
+        pytest.param(lambda meta, opt: _edit_npz(
+                         opt, lambda a: a.update({"v.pos": a["v.pos"][:1]})),
+                     ["optimizer.npz", "'v.pos'"], id="moment-mis-shaped"),
+        pytest.param(lambda meta, opt: _edit_npz(
+                         opt, lambda a: a["m.input.b"].fill(np.nan)),
+                     ["optimizer.npz", "'m.input.b'"], id="moment-nan"),
+    ])
+    def test_corrupt_resume_checkpoint_exit_one(self, mini_run, tmp_path,
+                                                capsys, no_training, corrupt,
+                                                named):
+        out, cfg_path = _artifact_copy(mini_run, tmp_path)
+        ckpt = out / "artifacts" / "checkpoint"
+        meta_path = ckpt / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        corrupt(meta, ckpt / "optimizer.npz")
+        meta_path.write_text(json.dumps(meta))
+        cfg = ExperimentConfig.load(cfg_path)
+        cfg.train.resume_from = str(ckpt)
+        cfg_path.write_text(cfg.to_yaml())
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert all(name in lines[0] for name in named), lines
+
+    @pytest.mark.parametrize("section, key, value, named", [
+        pytest.param("tokenizer", "K", 12, "codebook_size is 16, expected 12",
+                     id="tokenizer-K"),
+        pytest.param("tokenizer", "D", 4, "latent_dim is 8, expected 4",
+                     id="tokenizer-D"),
+        pytest.param("data", "size", 64, "seq_len is 16, expected 64",
+                     id="data-size"),
+    ])
+    def test_resume_checkpoint_misfit_exit_one(self, mini_run, tmp_path,
+                                               capsys, no_training, section,
+                                               key, value, named):
+        out, cfg_path = _artifact_copy(mini_run, tmp_path)
+        cfg = ExperimentConfig.load(cfg_path)
+        setattr(getattr(cfg, section), key, value)
+        cfg.train.resume_from = str(out / "artifacts" / "checkpoint")
+        cfg_path.write_text(cfg.to_yaml())
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and named in lines[0], lines
+        assert str(out / "artifacts" / "checkpoint" / "model") in lines[0]
 
     @pytest.mark.parametrize("key, value", [
         ("codebook_size", 999), ("latent_dim", 999), ("seq_len", 999)])

@@ -3,7 +3,7 @@ import pytest
 
 from tokmri.errors import InvalidInputError
 from tokmri.fourier import make_center_mask
-from tokmri.storage import load_ctns, load_mask, save_ctns, save_mask
+from tokmri.storage import load_ctns, load_mask, save_ctns, save_mask, write_csv
 
 
 def test_ctns_round_trip_float64(tmp_path):
@@ -56,6 +56,15 @@ def test_ctns_rejects_truncation(tmp_path):
         load_ctns(path)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_ctns_rejects_partial_value(tmp_path, dtype):
+    path = tmp_path / "part.ctns"
+    save_ctns(path, np.ones((4, 4), dtype=complex), dtype=dtype)
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(InvalidInputError, match="part.ctns: payload holds"):
+        load_ctns(path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_ctns_rejects_non_finite_payload(tmp_path, bad):
     arr = np.ones((3, 4), dtype=complex)
@@ -77,3 +86,11 @@ def test_mask_json_round_trip(tmp_path):
     # flags serialized as 0/1 integers
     text = path.read_text()
     assert '"flags"' in text and "true" not in text
+
+
+def test_csv_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c"],
+              [[1, 0.1, None], ["x", np.float64(1 / 3), 2.0], (True, 1e-300, "")])
+    assert path.read_text() == ("a,b,c\n1,0.1,\nx,0.3333333333333333,2.0\n"
+                                "True,1e-300,\n")

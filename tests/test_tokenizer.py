@@ -13,7 +13,6 @@ from tokmri.errors import (
     DegenerateDataError,
     GeometryError,
     InvalidInputError,
-    NotTrainedError,
     ShapeMismatchError,
 )
 from tokmri.tokenizer import (
@@ -247,13 +246,6 @@ class TestEncoderDecoder:
         assert out.shape == (4, 4)
         assert np.array_equal(out, np.zeros((4, 4)))
 
-    def test_untrained_raises(self):
-        tok = Tokenizer(p=8)
-        with pytest.raises(NotTrainedError):
-            tok.encode(np.zeros((8, 8)))
-        with pytest.raises(NotTrainedError):
-            tok.decode(LatentGrid(np.zeros((1, 4)), 1, 1))
-
     def test_pseudo_inverse_round_trip(self):
         # decoder = least-squares inverse of a linear encoder on the
         # training patch span: decode(encode(x)) ~= x there
@@ -412,7 +404,6 @@ class TestTrainTokenizer:
         rng = np.random.default_rng(12)
         dataset = [rng.standard_normal((16, 16)) for _ in range(6)]
         tok, report = train_tokenizer(dataset, K=8, D=4, p=4, seed=0)
-        assert tok.is_trained
         assert tok.codebook.K == 8
         assert report["recon_mse"] >= 0
         assert report["quant_distortion"] >= 0
