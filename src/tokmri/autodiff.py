@@ -4,8 +4,11 @@ The pipeline is a fixed composition of a handful of primitives (affine maps,
 layer norm, softmax attention, GELU feed-forward, the centered unitary FFT,
 complex split, and the straight-through quantizer), so instead of a generic
 scalar autodiff we record composite nodes with hand-derived adjoints on a
-:class:`Tape`.  Each primitive also exists as a plain (forward, vjp) function
-pair so its adjoint can be finite-difference tested in isolation.
+:class:`Tape`.  Every op is one pair of plain functions, ``forward(*inputs,
+**static) -> (out, cache)`` and ``vjp(cache, g)``, which returns one gradient
+(or None) per input from a cache that holds all it reads, weights included.
+Each adjoint is finite-difference tested in isolation.  `Tape.apply` records
+the pair, so `Tape.replay_check` re-runs the forward that made each value.
 
 Gradient conventions:
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -27,7 +31,7 @@ from scipy.special import erf
 
 from .errors import ShapeMismatchError, TapeConsistencyError
 from .fourier import forward_fft, inverse_fft
-from .tokenizer import Codebook, patchify, unpatchify
+from .tokenizer import Codebook, nearest_entry_indices, patchify, unpatchify
 
 LN_EPS = 1e-5
 
@@ -55,24 +59,26 @@ def _unbroadcast(g, shape):
 
 
 def affine_forward(x, w, b):
-    return x @ w + b
+    return x @ w + b, (x, w)
 
 
-def affine_vjp(x, w, g):
+def affine_vjp(cache, g):
+    x, w = cache
     return g @ w.T, _flat2(x).T @ _flat2(g), _flat2(g).sum(axis=0)
 
 
 def layer_norm_forward(x, gamma, beta, eps=LN_EPS):
-    """Row-wise layer norm with affine. Returns (out, cache)."""
+    """Row-wise layer norm with affine."""
     mu = x.mean(axis=-1, keepdims=True)
-    var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
+    xhat = x - mu
+    var = np.mean(xhat ** 2, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    return gamma * xhat + beta, (xhat, inv)
+    xhat *= inv
+    return gamma * xhat + beta, (xhat, inv, gamma)
 
 
-def layer_norm_vjp(cache, gamma, g):
-    xhat, inv = cache
+def layer_norm_vjp(cache, g):
+    xhat, inv, gamma = cache
     gx_hat = g * gamma
     m1 = gx_hat.mean(axis=-1, keepdims=True)
     m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
@@ -91,7 +97,7 @@ def channel_norm_forward(x, eps):
 
 def channel_norm_vjp(cache, g):
     z, inv = cache
-    return inv * (g - g.mean() - z * np.mean(g * z))
+    return (inv * (g - g.mean() - z * np.mean(g * z)),)
 
 
 def softmax(z, out=None):
@@ -162,11 +168,11 @@ def attention_forward(y, wq, bq, wk, bk, wv, bv, wo, bo, heads):
     ctx = probs @ v  # (n, heads, L, dh)
     o = ctx.transpose(0, 2, 1, 3).reshape(n, L, E)
     out = (o @ wo + bo).reshape(*lead, L, E)
-    return out, (y, q, k, v, probs, o)
+    return out, (y, q, k, v, probs, o, wq, wk, wv, wo)
 
 
-def attention_vjp(cache, wq, wk, wv, wo, g):
-    y, q, k, v, probs, o = cache
+def attention_vjp(cache, g):
+    y, q, k, v, probs, o, wq, wk, wv, wo = cache
     *lead, L, E = y.shape
     n, heads, _, dh = q.shape
     gb = g.reshape(n, L, E)
@@ -200,11 +206,11 @@ def ffn_forward(z, w1, b1, w2, b2):
     pre = z @ w1 + b1
     erf_term = gelu_erf_term(pre)
     act = gelu_forward(pre, erf_term)
-    return act @ w2 + b2, (z, pre, erf_term)
+    return act @ w2 + b2, (z, pre, erf_term, w1, w2)
 
 
-def ffn_vjp(cache, w1, w2, g):
-    z, pre, erf_term = cache
+def ffn_vjp(cache, g):
+    z, pre, erf_term, w1, w2 = cache
     g_act = g @ w2.T
     g_pre = gelu_vjp(pre, g_act, erf_term)
     # the activation is rebuilt in g_act's buffer, which is no longer needed
@@ -226,7 +232,7 @@ def entropy_sum_from_logits(logits):
 
 def entropy_sum_vjp(cache, g):
     p, logp, h = cache
-    return g * (-p * (logp + h[..., None]))
+    return (g * (-p * (logp + h[..., None])),)
 
 
 def cross_entropy_from_logits(logits, targets):
@@ -255,7 +261,7 @@ def cross_entropy_vjp(cache, g):
         grad, targets[..., None],
         np.take_along_axis(grad, targets[..., None], axis=-1) - 1.0, axis=-1
     )
-    return g * grad / (p.size // p.shape[-1])
+    return (g * grad / (p.size // p.shape[-1]),)
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +273,17 @@ class TapeNode:
     name: str
     out_id: int
     in_ids: tuple[int, ...]
-    replay: Callable
-    backward: Callable
+    forward: Callable   # inputs -> (out, cache), static arguments bound
+    backward: Callable  # g -> one gradient (or None) per input
 
 
 class Tape:
     """Ordered record of the forward pass with one backward rule per node.
 
     With ``record=False`` the tape keeps every value but no node, so the
-    replay closures and backward caches (attention probabilities among them)
-    are dropped as soon as each op returns.  Such a tape serves inference
-    only: `replay_check` and `backward` raise on it.
+    backward caches (attention probabilities among them) are dropped as soon
+    as each op returns.  Such a tape serves inference only: `replay_check`
+    and `backward` raise on it.
     """
 
     def __init__(self, record: bool = True):
@@ -292,22 +298,32 @@ class Tape:
     def val(self, vid: int) -> np.ndarray:
         return self._values[vid]
 
-    def push(self, name, in_ids, out_value, replay, backward) -> int:
+    def push(self, name, in_ids, out_value, forward, backward) -> int:
+        # perfbench's tracer wraps this method and times `backward` by name
         out_id = self.source(out_value, name)
         if self.record:
-            self.nodes.append(TapeNode(name, out_id, tuple(in_ids), replay,
+            self.nodes.append(TapeNode(name, out_id, tuple(in_ids), forward,
                                        backward))
         return out_id
+
+    def apply(self, name, forward, vjp, in_ids, **static) -> int:
+        """Run the op `forward(*inputs, **static) -> (out, cache)` on the
+        values of `in_ids` and record it with `vjp(cache, g)`."""
+        forward = partial(forward, **static)
+        out, cache = forward(*[self._values[i] for i in in_ids])
+        return self.push(name, in_ids, out, forward, lambda g: vjp(cache, g))
 
     def _require_record(self, what: str) -> None:
         if not self.record:
             raise TapeConsistencyError(f"{what} needs a recording tape")
 
     def replay_check(self) -> None:
-        """Re-execute every node on its recorded inputs; require bit equality."""
+        """Re-run every node's forward on its recorded inputs; require bit
+        equality with the recorded output."""
         self._require_record("replay_check")
         for node in self.nodes:
-            redone = node.replay(*[self._values[i] for i in node.in_ids])
+            redone, _ = node.forward(*[self._values[i] for i in node.in_ids])
+            redone = np.asarray(redone)
             stored = self._values[node.out_id]
             if redone.shape != stored.shape or not np.array_equal(
                 redone, stored, equal_nan=True
@@ -338,76 +354,90 @@ class Tape:
 
 
 # ---------------------------------------------------------------------------
-# tape-recorded ops
+# tape-recorded ops: the small ops' (forward, vjp) pairs, then the builders
 # ---------------------------------------------------------------------------
 
+def _add(a, b):
+    return a + b, (a.shape, b.shape)
+
+
+def _add_vjp(cache, g):
+    return tuple(_unbroadcast(g, shape) for shape in cache)
+
+
+def _identity_vjp(cache, g):
+    return (g,)
+
+
+def _snap(lat, entries):
+    return entries[nearest_entry_indices(lat, entries)], None
+
+
+def _shift(lat, offset):
+    return lat + offset, None
+
+
+def _patchify(x, p):
+    return patchify(x, p), (x.shape[0] // p, x.shape[1] // p, p)
+
+
+def _patchify_vjp(cache, g):
+    return (unpatchify(g, *cache),)
+
+
+def _ifft2c(y):
+    return inverse_fft(y), None
+
+
+def _ifft2c_vjp(cache, g):
+    # unitary + symmetric transform: the adjoint under the re/im-partials
+    # convention is the forward FFT
+    return (forward_fft(np.asarray(g, dtype=np.complex128)),)
+
+
+def _real(x):
+    return np.ascontiguousarray(x.real), None
+
+
+def _real_vjp(cache, g):
+    return (g.astype(np.complex128),)
+
+
+def _imag(x):
+    return np.ascontiguousarray(x.imag), None
+
+
+def _imag_vjp(cache, g):
+    return (1j * g.astype(np.complex128),)
+
+
 def t_add(tape: Tape, a: int, b: int, name="add") -> int:
-    av, bv = tape.val(a), tape.val(b)
-    out = av + bv
-    return tape.push(
-        name, (a, b), out, lambda x, y: x + y,
-        lambda g: (_unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)),
-    )
+    return tape.apply(name, _add, _add_vjp, (a, b))
 
 
 def t_affine(tape: Tape, x: int, w: int, b: int, name="affine") -> int:
-    xv, wv, bv = tape.val(x), tape.val(w), tape.val(b)
-    out = affine_forward(xv, wv, bv)
-
-    def backward(g):
-        return affine_vjp(xv, wv, g)
-
-    return tape.push(name, (x, w, b), out, affine_forward, backward)
+    return tape.apply(name, affine_forward, affine_vjp, (x, w, b))
 
 
 def t_layer_norm(tape: Tape, x: int, gamma: int, beta: int,
                  eps=LN_EPS, name="layer_norm") -> int:
-    xv, gv, bv = tape.val(x), tape.val(gamma), tape.val(beta)
-    out, cache = layer_norm_forward(xv, gv, bv, eps)
-
-    def replay(xr, gr, br):
-        return layer_norm_forward(xr, gr, br, eps)[0]
-
-    def backward(g):
-        return layer_norm_vjp(cache, gv, g)
-
-    return tape.push(name, (x, gamma, beta), out, replay, backward)
+    return tape.apply(name, layer_norm_forward, layer_norm_vjp,
+                      (x, gamma, beta), eps=eps)
 
 
 def t_channel_norm(tape: Tape, x: int, eps: float, name="channel_norm") -> int:
-    out, cache = channel_norm_forward(tape.val(x), eps)
-
-    def backward(g):
-        return (channel_norm_vjp(cache, g),)
-
-    return tape.push(name, (x,), out,
-                     lambda xr: channel_norm_forward(xr, eps)[0], backward)
+    return tape.apply(name, channel_norm_forward, channel_norm_vjp, (x,),
+                      eps=eps)
 
 
 def t_patchify(tape: Tape, x: int, p: int, name="patchify") -> int:
-    xv = tape.val(x)
-    gh, gw = xv.shape[0] // p, xv.shape[1] // p
-    out = patchify(xv, p)
-
-    def backward(g):
-        return (unpatchify(g, gh, gw, p),)
-
-    return tape.push(name, (x,), out, lambda xr: patchify(xr, p), backward)
+    return tape.apply(name, _patchify, _patchify_vjp, (x,), p=p)
 
 
 def t_ste_quantize(tape: Tape, lat: int, cb: Codebook,
-                   name="ste_quantize") -> tuple[np.ndarray, int]:
+                   name="ste_quantize") -> int:
     """Snap to nearest codebook entries; backward is the identity (STE)."""
-    from .tokenizer import nearest_entry_indices
-
-    indices = nearest_entry_indices(tape.val(lat), cb.entries)
-    snapped = cb.entries[indices]
-
-    def replay(lr):
-        return cb.entries[nearest_entry_indices(lr, cb.entries)]
-
-    out_id = tape.push(name, (lat,), snapped, replay, lambda g: (g,))
-    return indices, out_id
+    return tape.apply(name, _snap, _identity_vjp, (lat,), entries=cb.entries)
 
 
 def t_frozen_shift(tape: Tape, lat: int, offset: np.ndarray,
@@ -419,84 +449,38 @@ def t_frozen_shift(tape: Tape, lat: int, offset: np.ndarray,
     function whose true derivative the STE gradient is, and is what the
     finite-difference oracle perturbs.
     """
-    out = tape.val(lat) + offset
-    return tape.push(name, (lat,), out, lambda lr: lr + offset,
-                     lambda g: (g,))
+    return tape.apply(name, _shift, _identity_vjp, (lat,), offset=offset)
 
 
 def t_attention(tape: Tape, y: int, wq, bq, wk, bk, wv, bv, wo, bo,
                 heads: int, name="attention") -> int:
-    ids = (y, wq, bq, wk, bk, wv, bv, wo, bo)
-    vals = [tape.val(i) for i in ids]
-    out, cache = attention_forward(*vals, heads)
-
-    def replay(*vs):
-        return attention_forward(*vs, heads)[0]
-
-    def backward(g):
-        return attention_vjp(cache, vals[1], vals[3], vals[5], vals[7], g)
-
-    return tape.push(name, ids, out, replay, backward)
+    return tape.apply(name, attention_forward, attention_vjp,
+                      (y, wq, bq, wk, bk, wv, bv, wo, bo), heads=heads)
 
 
 def t_ffn(tape: Tape, z: int, w1, b1, w2, b2, name="ffn") -> int:
-    ids = (z, w1, b1, w2, b2)
-    vals = [tape.val(i) for i in ids]
-    out, cache = ffn_forward(*vals)
-
-    def replay(*vs):
-        return ffn_forward(*vs)[0]
-
-    def backward(g):
-        return ffn_vjp(cache, vals[1], vals[3], g)
-
-    return tape.push(name, ids, out, replay, backward)
+    return tape.apply(name, ffn_forward, ffn_vjp, (z, w1, b1, w2, b2))
 
 
 def t_entropy_sum(tape: Tape, logits: int, name="entropy_sum") -> int:
-    out, cache = entropy_sum_from_logits(tape.val(logits))
-
-    def backward(g):
-        return (entropy_sum_vjp(cache, float(g)),)
-
-    return tape.push(name, (logits,), np.float64(out),
-                     lambda z: np.float64(entropy_sum_from_logits(z)[0]),
-                     backward)
+    return tape.apply(name, entropy_sum_from_logits, entropy_sum_vjp,
+                      (logits,))
 
 
 def t_cross_entropy(tape: Tape, logits: int, targets: np.ndarray,
                     name="cross_entropy") -> int:
-    out, cache = cross_entropy_from_logits(tape.val(logits), targets)
-
-    def backward(g):
-        return (cross_entropy_vjp(cache, float(g)),)
-
-    return tape.push(name, (logits,), np.float64(out),
-                     lambda z: np.float64(cross_entropy_from_logits(z, targets)[0]),
-                     backward)
+    return tape.apply(name, cross_entropy_from_logits, cross_entropy_vjp,
+                      (logits,), targets=targets)
 
 
 def t_ifft2c(tape: Tape, y: int, name="ifft2c") -> int:
     """Centered unitary inverse FFT node (complex to complex)."""
-    out = inverse_fft(tape.val(y))
-
-    def backward(g):
-        # unitary + symmetric transform: adjoint under the re/im-partials
-        # convention is the forward FFT
-        return (forward_fft(np.asarray(g, dtype=np.complex128)),)
-
-    return tape.push(name, (y,), out, inverse_fft, backward)
+    return tape.apply(name, _ifft2c, _ifft2c_vjp, (y,))
 
 
 def t_real(tape: Tape, x: int, name="real_part") -> int:
-    out = np.ascontiguousarray(tape.val(x).real)
-    return tape.push(name, (x,), out,
-                     lambda xr: np.ascontiguousarray(xr.real),
-                     lambda g: (g.astype(np.complex128),))
+    return tape.apply(name, _real, _real_vjp, (x,))
 
 
 def t_imag(tape: Tape, x: int, name="imag_part") -> int:
-    out = np.ascontiguousarray(tape.val(x).imag)
-    return tape.push(name, (x,), out,
-                     lambda xr: np.ascontiguousarray(xr.imag),
-                     lambda g: (1j * g.astype(np.complex128),))
+    return tape.apply(name, _imag, _imag_vjp, (x,))

@@ -153,10 +153,15 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {path}")
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = yaml.safe_load(fh) or {}
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{path}: not a valid YAML document: {exc}") from None
-        return cls.from_dict(doc)
+                doc = yaml.safe_load(fh)
+        # a bad !!int, !!float, !!timestamp or !!bool value raises a plain
+        # ValueError, LookupError or AttributeError; UnicodeDecodeError is a
+        # ValueError
+        except (yaml.YAMLError, ValueError, LookupError, AttributeError,
+                RecursionError) as exc:
+            raise ConfigError(f"{path}: not a valid YAML document: "
+                              f"{type(exc).__name__}: {exc}") from None
+        return cls.from_dict({} if doc is None else doc)
 
     def validate(self) -> None:
         d, t, acq, bench = self.data, self.tokenizer, self.acquisition, self.bench
@@ -181,6 +186,14 @@ class ExperimentConfig:
                 raise ConfigError(f"bench.{key} must be an integer >= 1")
         if not acq.seeds:
             raise ConfigError("at least one acquisition seed is required")
+        for key, seed in [("data.master_seed", d.master_seed),
+                          ("train.seed", self.train.seed),
+                          ("acquisition.noise_seed", acq.noise_seed),
+                          *(("acquisition.seeds", s) for s in acq.seeds)]:
+            # keeps seed * 1_000_003 + image index inside a uint64
+            if not isinstance(seed, int) or not 0 <= seed < 2**32:
+                raise ConfigError(
+                    f"{key} must be an integer in [0, 2**32), got {seed!r}")
         for key in ("seeds", "accelerations", "policies"):
             values = getattr(acq, key)
             if len(set(values)) != len(values):
@@ -240,7 +253,10 @@ def _typed(name: str, value, tp):
     if not _conforms(value, tp):
         raise ConfigError(f"config key {name} must be {_type_name(tp)}, "
                           f"got {value!r}")
-    return float(value) if tp is float else value
+    try:
+        return float(value) if tp is float else value
+    except OverflowError:
+        raise ConfigError(f"config key {name} is beyond the float range") from None
 
 
 def default_config() -> ExperimentConfig:

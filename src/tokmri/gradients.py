@@ -111,7 +111,7 @@ def pipeline_forward(
         lat_id = ad.t_affine(tape, patches_id, enc_wt, enc_b, name="encode")
         lat_ids.append(lat_id)
         if frozen_offsets is None:
-            _, q_id = ad.t_ste_quantize(tape, lat_id, tokenizer.codebook)
+            q_id = ad.t_ste_quantize(tape, lat_id, tokenizer.codebook)
         else:
             q_id = ad.t_frozen_shift(tape, lat_id, frozen_offsets[k])
         q_ids.append(q_id)

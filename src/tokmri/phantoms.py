@@ -72,8 +72,10 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.size < 16:
-            raise ConfigError(f"phantom size must be >= 16, got {self.size}")
+        # one complex128 k-space of a larger image would exceed 4 GiB
+        if not 16 <= self.size <= 2**14:
+            raise ConfigError(
+                f"phantom size must be in [16, 16384], got {self.size}")
         if self.phase_mode not in ("zero", "smooth-random"):
             raise ConfigError(f"unknown phase mode {self.phase_mode!r}")
         if self.n_ellipses < 0:

@@ -178,9 +178,18 @@ def save_mask(path: str | Path, mask: SamplingMask) -> None:
 
 
 def load_mask(path: str | Path) -> SamplingMask:
+    """A mask as `save_mask` writes it: integer `num_lines`, `flags` a list
+    of `num_lines` 0/1 integers and `center_count` an integer in
+    [0, num_lines]."""
     obj = read_json(path)
-    return SamplingMask(
-        num_lines=int(obj["num_lines"]),
-        flags=np.asarray(obj["flags"], dtype=bool),
-        center_count=int(obj["center_count"]),
-    )
+    for key in ("num_lines", "center_count"):
+        if not is_int(obj.get(key)):
+            raise InvalidInputError(f"{path}: {key} must be an integer")
+    n, flags = obj["num_lines"], obj.get("flags")
+    if not (isinstance(flags, list) and len(flags) == n
+            and all(is_int(f) and f in (0, 1) for f in flags)):
+        raise InvalidInputError(f"{path}: flags must be a list of {n} 0/1 values")
+    if not 0 <= obj["center_count"] <= n:
+        raise InvalidInputError(f"{path}: center_count must be in [0, {n}]")
+    return SamplingMask(num_lines=n, flags=np.asarray(flags, dtype=bool),
+                        center_count=obj["center_count"])

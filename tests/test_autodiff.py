@@ -6,7 +6,7 @@ from tokmri import autodiff as ad
 from tokmri.autodiff import Tape
 from tokmri.errors import TapeConsistencyError
 from tokmri.fourier import forward_fft, inverse_fft
-from tokmri.tokenizer import Codebook
+from tokmri.tokenizer import Codebook, nearest_entry_indices
 
 RNG = np.random.default_rng(2024)
 
@@ -41,8 +41,8 @@ class TestPrimitiveAdjoints:
         w = RNG.standard_normal((5, 7))
         b = RNG.standard_normal(7)
         check_vjp(
-            lambda x: ad.affine_forward(x, w, b),
-            lambda x, v: ad.affine_vjp(x, w, v)[0],
+            lambda x: ad.affine_forward(x, w, b)[0],
+            lambda x, v: ad.affine_vjp(ad.affine_forward(x, w, b)[1], v)[0],
             RNG.standard_normal((4, 5)),
         )
 
@@ -50,12 +50,12 @@ class TestPrimitiveAdjoints:
         x = RNG.standard_normal((4, 5))
         b = RNG.standard_normal(7)
         w0 = RNG.standard_normal((5, 7))
-        out0 = ad.affine_forward(x, w0, b)
+        out0, cache = ad.affine_forward(x, w0, b)
         v = RNG.standard_normal(out0.shape)
-        _, gw, gb = ad.affine_vjp(x, w0, v)
+        _, gw, gb = ad.affine_vjp(cache, v)
         for i in RNG.choice(w0.size, size=10, replace=False):
             fd = central_diff(
-                lambda wq: float(np.sum(ad.affine_forward(x, wq, b) * v)),
+                lambda wq: float(np.sum(ad.affine_forward(x, wq, b)[0] * v)),
                 w0, i, 1e-6,
             )
             assert abs(fd - gw.flat[i]) < 1e-6 * max(abs(fd), 1.0)
@@ -70,7 +70,7 @@ class TestPrimitiveAdjoints:
 
         def vjp_in(x, v):
             _, cache = ad.layer_norm_forward(x, gamma, beta)
-            return ad.layer_norm_vjp(cache, gamma, v)[0]
+            return ad.layer_norm_vjp(cache, v)[0]
 
         check_vjp(fwd, vjp_in, RNG.standard_normal((5, 6)))
 
@@ -80,7 +80,7 @@ class TestPrimitiveAdjoints:
         beta = RNG.standard_normal(6)
         out0, cache = ad.layer_norm_forward(x, gamma, beta)
         v = RNG.standard_normal(out0.shape)
-        _, ggamma, gbeta = ad.layer_norm_vjp(cache, gamma, v)
+        _, ggamma, gbeta = ad.layer_norm_vjp(cache, v)
         for i in range(6):
             fd = central_diff(
                 lambda gq: float(np.sum(ad.layer_norm_forward(x, gq, beta)[0] * v)),
@@ -95,7 +95,7 @@ class TestPrimitiveAdjoints:
 
         def vjp_in(x, v):
             _, cache = ad.channel_norm_forward(x, 1e-12)
-            return ad.channel_norm_vjp(cache, v)
+            return ad.channel_norm_vjp(cache, v)[0]
 
         check_vjp(fwd, vjp_in, RNG.standard_normal((6, 6)) * 2 + 1)
 
@@ -138,7 +138,7 @@ class TestPrimitiveAdjoints:
         out0 = fwd_all(y, wq, wk, wv, wo)
         v = RNG.standard_normal(out0.shape)
         _, cache = ad.attention_forward(y, wq, bq, wk, bk, wv, bv, wo, bo, heads)
-        grads = ad.attention_vjp(cache, wq, wk, wv, wo, v)
+        grads = ad.attention_vjp(cache, v)
         tensors = {
             0: (y, lambda t: fwd_all(t, wq, wk, wv, wo)),
             1: (wq, lambda t: fwd_all(y, t, wk, wv, wo)),
@@ -176,7 +176,7 @@ class TestPrimitiveAdjoints:
 
         def vjp_in(z, v):
             _, cache = ad.ffn_forward(z, w1, b1, w2, b2)
-            return ad.ffn_vjp(cache, w1, w2, v)[0]
+            return ad.ffn_vjp(cache, v)[0]
 
         check_vjp(fwd, vjp_in, RNG.standard_normal((5, E)))
 
@@ -187,7 +187,7 @@ class TestPrimitiveAdjoints:
             return np.float64(ad.entropy_sum_from_logits(z)[0])
 
         _, cache = ad.entropy_sum_from_logits(z0)
-        g = ad.entropy_sum_vjp(cache, 1.0)
+        (g,) = ad.entropy_sum_vjp(cache, 1.0)
         for i in RNG.choice(z0.size, size=12, replace=False):
             fd = central_diff(lambda z: float(fwd(z)), z0, i, 1e-6)
             assert abs(fd - g.flat[i]) <= 1e-6 * max(abs(fd), abs(g.flat[i]), 1.0)
@@ -200,7 +200,7 @@ class TestPrimitiveAdjoints:
             return ad.cross_entropy_from_logits(z, targets)[0]
 
         _, cache = ad.cross_entropy_from_logits(z0, targets)
-        g = ad.cross_entropy_vjp(cache, 1.0)
+        (g,) = ad.cross_entropy_vjp(cache, 1.0)
         for i in RNG.choice(z0.size, size=12, replace=False):
             fd = central_diff(fwd, z0, i, 1e-6)
             assert abs(fd - g.flat[i]) <= 1e-6 * max(abs(fd), abs(g.flat[i]), 1.0)
@@ -274,12 +274,24 @@ class TestFusedSoftmax:
         assert loss == float(-picked.mean())
         assert np.array_equal(p, two_pass_softmax(self.Z))
 
+    def test_layer_norm_matches_two_subtractions(self):
+        x = self.Z.copy()
+        gamma, beta = self.rng.standard_normal((2, x.shape[-1]))
+        mu = self.Z.mean(axis=-1, keepdims=True)
+        var = np.mean((self.Z - mu) ** 2, axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + ad.LN_EPS)
+        xhat = (self.Z - mu) * inv
+        out, (xhat2, inv2, _) = ad.layer_norm_forward(x, gamma, beta)
+        assert np.array_equal(x, self.Z)
+        assert np.array_equal(out, gamma * xhat + beta)
+        assert np.array_equal(xhat2, xhat) and np.array_equal(inv2, inv)
+
     def test_attention_probs_match_two_pass(self):
         E, heads, L = 8, 2, 5
         y = self.rng.standard_normal((2, L, E))
         ws = [self.rng.standard_normal((E, E)) * 0.5 if i % 2 == 0
               else self.rng.standard_normal(E) for i in range(8)]
-        _, (_, q, k, _, probs, _) = ad.attention_forward(y, *ws, heads)
+        _, (_, q, k, _, probs, *_) = ad.attention_forward(y, *ws, heads)
         scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(E // heads)
         assert np.array_equal(probs, two_pass_softmax(scores))
 
@@ -325,39 +337,82 @@ class TestCachedGeluTerm:
         out, cache = ad.ffn_forward(z, w1, b1, w2, b2)
         ref_out, ref_cache = erf_ffn_forward(z, w1, b1, w2, b2)
         assert np.array_equal(out, ref_out)
-        for got, want in zip(ad.ffn_vjp(cache, w1, w2, g),
+        for got, want in zip(ad.ffn_vjp(cache, g),
                              erf_ffn_vjp(ref_cache, w1, w2, g)):
             assert np.array_equal(got, want)
 
     def test_cache_holds_no_activation(self):
         w1, b1, w2, b2 = self._weights()
         z = self.rng.standard_normal((5, self.E))
-        _, (z_c, pre, erf_term) = ad.ffn_forward(z, w1, b1, w2, b2)
+        _, (z_c, pre, erf_term, *_) = ad.ffn_forward(z, w1, b1, w2, b2)
         assert z_c is z
         assert np.array_equal(erf_term, 1.0 + erf(pre / np.sqrt(2.0)))
 
 
-class TestTape:
-    def _small_graph(self):
-        tape = Tape()
-        x = tape.source(RNG.standard_normal((3, 4)), "x")
-        w = tape.source(RNG.standard_normal((4, 5)), "w")
-        b = tape.source(RNG.standard_normal(5), "b")
-        h = ad.t_affine(tape, x, w, b)
-        g1 = tape.source(np.ones(5), "gamma")
-        b1 = tape.source(np.zeros(5), "beta")
-        out = ad.t_layer_norm(tape, h, g1, b1)
-        loss = ad.t_entropy_sum(tape, out)
-        return tape, x, loss
+BUILDERS = sorted(name for name in dir(ad) if name.startswith("t_"))
 
-    def test_replay_bit_identical(self):
-        tape, _, _ = self._small_graph()
+
+def every_op_graph() -> Tape:
+    """A small tape that holds one node from every `t_*` builder, each node
+    named after its builder."""
+    rng = np.random.default_rng(11)
+    tape = Tape()
+
+    def src(*shape):
+        return tape.source(rng.standard_normal(shape))
+
+    y = tape.source(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    x = ad.t_ifft2c(tape, y, name="t_ifft2c")
+    re, im = ad.t_real(tape, x, name="t_real"), ad.t_imag(tape, x, name="t_imag")
+    ch = ad.t_add(tape, re, im, name="t_add")
+    z = ad.t_channel_norm(tape, ch, eps=1e-12, name="t_channel_norm")
+    patches = ad.t_patchify(tape, z, 4, name="t_patchify")
+    lat = ad.t_affine(tape, patches, src(16, 4), src(4), name="t_affine")
+    cb = Codebook(rng.standard_normal((6, 4)))
+    q = ad.t_ste_quantize(tape, lat, cb, name="t_ste_quantize")
+    shifted = ad.t_frozen_shift(tape, lat, tape.val(q) - tape.val(lat),
+                                name="t_frozen_shift")
+    h = ad.t_layer_norm(tape, ad.t_add(tape, q, shifted), src(4), src(4),
+                        name="t_layer_norm")
+    a = ad.t_attention(tape, h, src(4, 4), src(4), src(4, 4), src(4),
+                       src(4, 4), src(4), src(4, 4), src(4), heads=2,
+                       name="t_attention")
+    f = ad.t_ffn(tape, a, src(4, 8), src(8), src(8, 4), src(4), name="t_ffn")
+    logits = ad.t_affine(tape, f, src(4, 6), src(6))
+    ad.t_entropy_sum(tape, logits, name="t_entropy_sum")
+    ad.t_cross_entropy(tape, logits, rng.integers(0, 6, size=4),
+                       name="t_cross_entropy")
+    return tape
+
+
+def node_named(tape: Tape, name: str):
+    (node,) = [n for n in tape.nodes if n.name == name]
+    return node
+
+
+class TestTape:
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_replay_bit_identical(self, builder):
+        tape = every_op_graph()
+        tape.nodes = [node_named(tape, builder)]
         tape.replay_check()  # must not raise
 
-    def test_replay_detects_tampering(self):
-        tape, _, loss = self._small_graph()
-        tape._values[loss] = tape._values[loss] + 1.0
-        with pytest.raises(TapeConsistencyError):
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_vjp_returns_one_gradient_per_input(self, builder):
+        tape = every_op_graph()
+        node = node_named(tape, builder)
+        g_ins = node.backward(np.ones_like(tape.val(node.out_id)))
+        assert len(g_ins) == len(node.in_ids)
+        for vid, g in zip(node.in_ids, g_ins):
+            assert np.shape(g) == tape.val(vid).shape
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_replay_detects_tampering(self, builder):
+        tape = every_op_graph()
+        tape.replay_check()
+        out_id = node_named(tape, builder).out_id
+        tape._values[out_id] = tape._values[out_id] + 1.0
+        with pytest.raises(TapeConsistencyError, match=f"'{builder}'"):
             tape.replay_check()
 
     def test_backward_linearity(self):
@@ -417,7 +472,8 @@ class TestSTENode:
         cb = Codebook(RNG.standard_normal((6, 3)))
         tape = Tape()
         lat = tape.source(RNG.standard_normal((4, 3)), "lat")
-        indices, q = ad.t_ste_quantize(tape, lat, cb)
+        q = ad.t_ste_quantize(tape, lat, cb)
+        indices = nearest_entry_indices(tape.val(lat), cb.entries)
         assert np.array_equal(tape.val(q), cb.entries[indices])
         g_out = RNG.standard_normal((4, 3))
         grads = tape.backward(q, seed=g_out)
@@ -433,7 +489,7 @@ class TestSTENode:
 
         tape = Tape()
         lat = tape.source(lat0, "lat")
-        _, q = ad.t_ste_quantize(tape, lat, cb)
+        q = ad.t_ste_quantize(tape, lat, cb)
         out = ad.t_affine(tape, q, tape.source(w), tape.source(b))
         loss = ad.t_entropy_sum(tape, out)
         g_ste = tape.backward(loss)[lat]
@@ -450,7 +506,7 @@ class TestSTENode:
         tape = Tape()
         lat0 = RNG.standard_normal((4, 3))
         lat = tape.source(lat0, "lat")
-        _, q = ad.t_ste_quantize(tape, lat, cb)
+        q = ad.t_ste_quantize(tape, lat, cb)
         offset = tape.val(q) - lat0
         tape2 = Tape()
         lat2 = tape2.source(lat0, "lat")

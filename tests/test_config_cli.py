@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tokmri.cli import main
 from tokmri.config import ExperimentConfig, default_config
@@ -21,6 +23,22 @@ from tokmri.experiment import (
 )
 from tokmri.model import TransformerConfig
 from tokmri.storage import load_ctns
+
+
+# Pieces of config YAML that a property test joins at random: keys of
+# every section, YAML syntax and tags, and values of every type.
+YAML_PIECES = (
+    "\n", " ", "  ", ": ", "- ", "[", "]", "{", "}", ", ", "'", '"', "#",
+    "&a ", "*a", "<<: ", "? ", "|\n", ">\n", "---\n", "...\n", "%YAML 1.1\n",
+    "!!int ", "!!float ", "!!timestamp ", "!!bool ", "!!str ", "!!binary ",
+    "!!set ", "!!omap ", "!!python/object ", "out_dir", "data", "tokenizer",
+    "model", "train", "acquisition", "metrics", "bench", "size", "master_seed",
+    "K", "p", "layers", "heads", "lr", "seed", "seeds", "noise_seed", "T",
+    "accelerations", "policies", "les", "geo", "psnr_cap", "resume_from",
+    "0", "1", "7", "-1", "32", "1.5", "1.0e+400", ".nan", ".inf", "~",
+    "null", "yes", "0x_", "0b2", "1_0", "1:30", "2020-13-45", "2020-01-01",
+    "2001-12-14t21:59:43.10-05:00", "\xe9", "\t",
+)
 
 
 def mini_config(out_dir: str) -> ExperimentConfig:
@@ -114,6 +132,19 @@ class TestConfig:
         cfg.acquisition.policies = ["les", "greedy"]
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    @pytest.mark.parametrize("text", ["", "# nothing set\n"])
+    def test_empty_document_loads_defaults(self, tmp_path, text):
+        path = tmp_path / "empty.yaml"
+        path.write_text(text)
+        assert ExperimentConfig.load(path).to_dict() == default_config().to_dict()
+
+    @pytest.mark.parametrize("text", ["0\n", "false\n", "''\n", "[]\n"])
+    def test_falsy_non_mapping_document_rejected(self, tmp_path, text):
+        path = tmp_path / "falsy.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="must be a mapping"):
+            ExperimentConfig.load(path)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -389,6 +420,15 @@ class TestCLI:
          "acquisition.accelerations"),
         ("acquisition:\n  policies: [les, random, les]\n",
          "acquisition.policies"),
+        ("data:\n  master_seed: -1\n", "data.master_seed"),
+        ("train:\n  seed: -1\n", "train.seed"),
+        ("acquisition:\n  seeds: [-1]\n", "acquisition.seeds"),
+        (f"acquisition:\n  seeds: [{2**64}]\n", "acquisition.seeds"),
+        ("acquisition:\n  noise_seed: -1\n", "acquisition.noise_seed"),
+        (f"acquisition:\n  noise_seed: {2**32}\n", "acquisition.noise_seed"),
+        ("data:\n  size: 1000000000000\n", "phantom size"),
+        pytest.param("train:\n  lr: 1" + "0" * 400 + "\n", "train.lr",
+                     id="train.lr-401-digits"),
     ])
     def test_out_of_range_value_exit_one(self, tmp_path, capsys, doc, key):
         cfg_path = tmp_path / "bad.yaml"
@@ -408,11 +448,28 @@ class TestCLI:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "train", "run", "bench"])
+    def test_negative_seed_flag_exit_one(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(mini_config(str(tmp_path / "out")).to_yaml())
+        assert main([command, "--config", str(cfg_path), "--seed", "-1"]) == 1
+        assert "data.master_seed must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["show-config", "gen-data"])
     @pytest.mark.parametrize("text", [
         "data: {size: 32,\n  n_train: [\n",
         "data:\n  size: 32\n n_test: 4\n",
         "\xff\xfe",
+        "out_dir: 2020-13-45\n",
+        "out_dir: !!timestamp 2020-13-45\n",
+        "out_dir: !!timestamp soon\n",
+        "data:\n  size: !!int x\n",
+        "data:\n  size: !!int ''\n",
+        "train:\n  lr: !!float y\n",
+        "train:\n  epochs: 0x_\n",
+        "data:\n  phase_mode: !!bool maybe\n",
+        pytest.param("[" * 3000, id="3000-nested-brackets"),
     ])
     def test_broken_yaml_exit_one(self, tmp_path, capsys, command, text):
         cfg_path = tmp_path / "broken.yaml"
@@ -421,6 +478,19 @@ class TestCLI:
         err = capsys.readouterr().err
         assert str(cfg_path) in err and "YAML" in err
         assert "Traceback" not in err
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(
+        st.text(max_size=80),
+        st.lists(st.sampled_from(YAML_PIECES), max_size=24).map("".join)))
+    def test_any_text_loads_or_fails_closed(self, tmp_path, text):
+        path = tmp_path / "any.yaml"
+        path.write_text(text, encoding="utf-8")
+        try:
+            ExperimentConfig.load(path)
+        except ConfigError:
+            pass
 
     def test_int_accepted_for_float_key(self):
         cfg = ExperimentConfig.from_dict({"train": {"lr": 1}})

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,28 @@ def test_mask_json_round_trip(tmp_path):
     # flags serialized as 0/1 integers
     text = path.read_text()
     assert '"flags"' in text and "true" not in text
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"flags": [1, 0], "center_count": 1}, "num_lines"),
+    ({"num_lines": "2", "flags": [1, 0], "center_count": 1}, "num_lines"),
+    ({"num_lines": 2.0, "flags": [1, 0], "center_count": 1}, "num_lines"),
+    ({"num_lines": 2, "flags": [1, 0]}, "center_count"),
+    ({"num_lines": 2, "flags": [1, 0], "center_count": True}, "center_count"),
+    ({"num_lines": 2, "flags": [1, 0], "center_count": 3}, "center_count"),
+    ({"num_lines": 2, "flags": [1, 0], "center_count": -1}, "center_count"),
+    ({"num_lines": 2, "center_count": 1}, "flags"),
+    ({"num_lines": 2, "flags": "10", "center_count": 1}, "flags"),
+    ({"num_lines": 2, "flags": [1, 0, 1], "center_count": 1}, "flags"),
+    ({"num_lines": 2, "flags": [1, 2], "center_count": 1}, "flags"),
+    ({"num_lines": 2, "flags": [True, False], "center_count": 1}, "flags"),
+    ({"num_lines": 2, "flags": [1, None], "center_count": 1}, "flags"),
+])
+def test_mask_json_fails_closed(tmp_path, doc, named):
+    path = tmp_path / "mask.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInputError, match=f"mask.json: {named} must"):
+        load_mask(path)
 
 
 def test_csv_cells(tmp_path):
