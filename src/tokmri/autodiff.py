@@ -7,8 +7,10 @@ scalar autodiff we record composite nodes with hand-derived adjoints on a
 :class:`Tape`.  Every op is one pair of plain functions, ``forward(*inputs,
 **static) -> (out, cache)`` and ``vjp(cache, g)``, which returns one gradient
 (or None) per input from a cache that holds all it reads, weights included.
-Each adjoint is finite-difference tested in isolation.  `Tape.apply` records
-the pair, so `Tape.replay_check` re-runs the forward that made each value.
+The VJPs of ops with several inputs also take a mask, ``vjp(cache, g,
+needs)``, and skip the products of the inputs it marks False.  Each adjoint
+is finite-difference tested in isolation.  `Tape.apply` records the pair, so
+`Tape.replay_check` re-runs the forward that made each value.
 
 Gradient conventions:
 
@@ -34,6 +36,14 @@ from .fourier import forward_fft, inverse_fft
 from .tokenizer import Codebook, nearest_entry_indices, patchify, unpatchify
 
 LN_EPS = 1e-5
+# Bytes of float64 attention scores per block (one 256^2 head).
+# `attention_forward` and `attention_vjp` run over blocks of whole (batch
+# item, head) slices whose L x L scores fit here, so that a block's scores and
+# score gradients stay in cache; a 64^2 image's call (L = 64, 4 heads) is one
+# block.  Query rows are never split: that would change the order in which
+# g_k sums, and NumPy sends a one-row product down a matrix-vector BLAS path
+# whose last bits differ from the full product's.
+ATTENTION_BLOCK_BYTES = 512 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +72,11 @@ def affine_forward(x, w, b):
     return x @ w + b, (x, w)
 
 
-def affine_vjp(cache, g):
+def affine_vjp(cache, g, needs=(True, True, True)):
     x, w = cache
-    return g @ w.T, _flat2(x).T @ _flat2(g), _flat2(g).sum(axis=0)
+    return (g @ w.T if needs[0] else None,
+            _flat2(x).T @ _flat2(g) if needs[1] else None,
+            _flat2(g).sum(axis=0) if needs[2] else None)
 
 
 def layer_norm_forward(x, gamma, beta, eps=LN_EPS):
@@ -77,13 +89,16 @@ def layer_norm_forward(x, gamma, beta, eps=LN_EPS):
     return gamma * xhat + beta, (xhat, inv, gamma)
 
 
-def layer_norm_vjp(cache, g):
+def layer_norm_vjp(cache, g, needs=(True, True, True)):
     xhat, inv, gamma = cache
-    gx_hat = g * gamma
-    m1 = gx_hat.mean(axis=-1, keepdims=True)
-    m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-    gx = inv * (gx_hat - m1 - xhat * m2)
-    return gx, _flat2(g * xhat).sum(axis=0), _flat2(g).sum(axis=0)
+    gx = None
+    if needs[0]:
+        gx_hat = g * gamma
+        m1 = gx_hat.mean(axis=-1, keepdims=True)
+        m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+        gx = inv * (gx_hat - m1 - xhat * m2)
+    return (gx, _flat2(g * xhat).sum(axis=0) if needs[1] else None,
+            _flat2(g).sum(axis=0) if needs[2] else None)
 
 
 def channel_norm_forward(x, eps):
@@ -148,10 +163,30 @@ def gelu_vjp(x, g, erf_term):
     return g * (cdf + x * pdf)
 
 
+def _head_blocks(n, heads, L):
+    """Index pairs (items, heads) into (n, heads, ...) arrays: blocks of
+    whole slices whose L x L float64 scores fit `ATTENTION_BLOCK_BYTES`,
+    either several items with every head or some heads of one item."""
+    per = max(1, ATTENTION_BLOCK_BYTES // (8 * L * L))
+    if per >= heads:
+        step = per // heads
+        return [(slice(i, i + step), slice(None)) for i in range(0, n, step)]
+    return [(slice(i, i + 1), slice(h, h + per))
+            for i in range(n) for h in range(0, heads, per)]
+
+
+def _split_heads(a, heads):
+    """(n, L, E) -> a (n, heads, L, dh) view."""
+    n, L, E = a.shape
+    return a.reshape(n, L, heads, E // heads).transpose(0, 2, 1, 3)
+
+
 def attention_forward(y, wq, bq, wk, bk, wv, bv, wo, bo, heads):
     """Full bidirectional multi-head self-attention over all positions.
 
-    `y` is (..., L, E); any leading axes are independent batch items.
+    `y` is (..., L, E); any leading axes are independent batch items.  The
+    scores are formed in `_head_blocks` blocks, straight into the cached
+    probabilities, and each block's context into its heads' columns of `o`.
     """
     *lead, L, E = y.shape
     if E % heads:
@@ -159,45 +194,52 @@ def attention_forward(y, wq, bq, wk, bk, wv, bv, wo, bo, heads):
     dh = E // heads
     yb = y.reshape(-1, L, E)
     n = yb.shape[0]
-    q = (yb @ wq + bq).reshape(n, L, heads, dh).transpose(0, 2, 1, 3)
-    k = (yb @ wk + bk).reshape(n, L, heads, dh).transpose(0, 2, 1, 3)
-    v = (yb @ wv + bv).reshape(n, L, heads, dh).transpose(0, 2, 1, 3)
-    scores = q @ k.transpose(0, 1, 3, 2)
-    scores /= math.sqrt(dh)
-    probs = softmax(scores, out=scores)
-    ctx = probs @ v  # (n, heads, L, dh)
-    o = ctx.transpose(0, 2, 1, 3).reshape(n, L, E)
+    q = _split_heads(yb @ wq + bq, heads)
+    k = _split_heads(yb @ wk + bk, heads)
+    v = _split_heads(yb @ wv + bv, heads)
+    kt = k.transpose(0, 1, 3, 2)
+    probs = np.empty((n, heads, L, L))
+    o = np.empty((n, L, E))
+    ctx = _split_heads(o, heads)
+    for blk in _head_blocks(n, heads, L):
+        p = np.matmul(q[blk], kt[blk], out=probs[blk])
+        p /= math.sqrt(dh)
+        softmax(p, out=p)
+        np.matmul(p, v[blk], out=ctx[blk])
     out = (o @ wo + bo).reshape(*lead, L, E)
     return out, (y, q, k, v, probs, o, wq, wk, wv, wo)
 
 
-def attention_vjp(cache, g):
+def attention_vjp(cache, g, needs=(True,) * 9):
+    """Gradients for (y, wq, bq, wk, bk, wv, bv, wo, bo).  The score
+    gradients live one `_head_blocks` block at a time; g_q, g_k and g_v are
+    written into their heads' columns of (n, L, E) arrays."""
     y, q, k, v, probs, o, wq, wk, wv, wo = cache
-    *lead, L, E = y.shape
-    n, heads, _, dh = q.shape
+    n, heads, L, dh = q.shape
+    E = heads * dh
     gb = g.reshape(n, L, E)
-    g_o = gb @ wo.T
-    g_wo = _flat2(o).T @ _flat2(gb)
-    g_bo = _flat2(gb).sum(axis=0)
-    gc = g_o.reshape(n, L, heads, dh).transpose(0, 2, 1, 3)
-    g_probs = gc @ v.transpose(0, 1, 3, 2)
-    g_v = probs.transpose(0, 1, 3, 2) @ gc
-    g_scores = softmax_vjp(probs, g_probs)
-    g_scores /= math.sqrt(dh)
-    g_q = g_scores @ k
-    g_k = g_scores.transpose(0, 1, 3, 2) @ q
-    gq = g_q.transpose(0, 2, 1, 3).reshape(n, L, E)
-    gk = g_k.transpose(0, 2, 1, 3).reshape(n, L, E)
-    gv = g_v.transpose(0, 2, 1, 3).reshape(n, L, E)
-    g_y = (gq @ wq.T + gk @ wk.T + gv @ wv.T).reshape(y.shape)
+    g_wo = _flat2(o).T @ _flat2(gb) if needs[7] else None
+    g_bo = _flat2(gb).sum(axis=0) if needs[8] else None
+    gc = _split_heads(gb @ wo.T, heads)
+    gq, gk, gv = np.empty((n, L, E)), np.empty((n, L, E)), np.empty((n, L, E))
+    g_q, g_k, g_v = (_split_heads(a, heads) for a in (gq, gk, gv))
+    vt = v.transpose(0, 1, 3, 2)
+    pt = probs.transpose(0, 1, 3, 2)
+    for blk in _head_blocks(n, heads, L):
+        g_scores = softmax_vjp(probs[blk], gc[blk] @ vt[blk])
+        np.matmul(pt[blk], gc[blk], out=g_v[blk])
+        g_scores /= math.sqrt(dh)
+        np.matmul(g_scores, k[blk], out=g_q[blk])
+        np.matmul(g_scores.transpose(0, 1, 3, 2), q[blk], out=g_k[blk])
+    g_y = None
+    if needs[0]:
+        g_y = (gq @ wq.T + gk @ wk.T + gv @ wv.T).reshape(y.shape)
     yf = _flat2(y)
-    return (
-        g_y,
-        yf.T @ _flat2(gq), _flat2(gq).sum(axis=0),
-        yf.T @ _flat2(gk), _flat2(gk).sum(axis=0),
-        yf.T @ _flat2(gv), _flat2(gv).sum(axis=0),
-        g_wo, g_bo,
-    )
+    grads = [g_y]
+    for ga, nw, nb in ((gq, *needs[1:3]), (gk, *needs[3:5]), (gv, *needs[5:7])):
+        grads.append(yf.T @ _flat2(ga) if nw else None)
+        grads.append(_flat2(ga).sum(axis=0) if nb else None)
+    return (*grads, g_wo, g_bo)
 
 
 def ffn_forward(z, w1, b1, w2, b2):
@@ -209,18 +251,20 @@ def ffn_forward(z, w1, b1, w2, b2):
     return act @ w2 + b2, (z, pre, erf_term, w1, w2)
 
 
-def ffn_vjp(cache, g):
+def ffn_vjp(cache, g, needs=(True,) * 5):
     z, pre, erf_term, w1, w2 = cache
     g_act = g @ w2.T
     g_pre = gelu_vjp(pre, g_act, erf_term)
-    # the activation is rebuilt in g_act's buffer, which is no longer needed
-    act = gelu_forward(pre, erf_term, out=g_act)
-    g_w2 = _flat2(act).T @ _flat2(g)
-    g_b2 = _flat2(g).sum(axis=0)
-    g_z = g_pre @ w1.T
-    g_w1 = _flat2(z).T @ _flat2(g_pre)
-    g_b1 = _flat2(g_pre).sum(axis=0)
-    return g_z, g_w1, g_b1, g_w2, g_b2
+    g_w2 = None
+    if needs[3]:
+        # the activation is rebuilt in g_act's buffer, which is no longer needed
+        act = gelu_forward(pre, erf_term, out=g_act)
+        g_w2 = _flat2(act).T @ _flat2(g)
+    return (g_pre @ w1.T if needs[0] else None,
+            _flat2(z).T @ _flat2(g_pre) if needs[1] else None,
+            _flat2(g_pre).sum(axis=0) if needs[2] else None,
+            g_w2,
+            _flat2(g).sum(axis=0) if needs[4] else None)
 
 
 def entropy_sum_from_logits(logits):
@@ -261,7 +305,9 @@ def cross_entropy_vjp(cache, g):
         grad, targets[..., None],
         np.take_along_axis(grad, targets[..., None], axis=-1) - 1.0, axis=-1
     )
-    return (g * grad / (p.size // p.shape[-1]),)
+    grad *= g
+    grad /= p.size // p.shape[-1]
+    return (grad,)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +320,7 @@ class TapeNode:
     out_id: int
     in_ids: tuple[int, ...]
     forward: Callable   # inputs -> (out, cache), static arguments bound
-    backward: Callable  # g -> one gradient (or None) per input
+    backward: Callable  # (g[, needs]) -> one gradient (or None) per input
 
 
 class Tape:
@@ -311,7 +357,8 @@ class Tape:
         values of `in_ids` and record it with `vjp(cache, g)`."""
         forward = partial(forward, **static)
         out, cache = forward(*[self._values[i] for i in in_ids])
-        return self.push(name, in_ids, out, forward, lambda g: vjp(cache, g))
+        return self.push(name, in_ids, out, forward,
+                         lambda g, *needs: vjp(cache, g, *needs))
 
     def _require_record(self, what: str) -> None:
         if not self.record:
@@ -332,17 +379,39 @@ class Tape:
                     f"node '{node.name}' does not replay to its recorded output"
                 )
 
-    def backward(self, out_id: int, seed=None) -> dict[int, np.ndarray]:
-        """Reverse sweep from `out_id`; returns gradients keyed by value id."""
+    def backward(self, out_id: int, seed=None,
+                 wrt=None) -> dict[int, np.ndarray]:
+        """Reverse sweep from `out_id`; returns the gradients of the source
+        ids `wrt` (default: every source) that the sweep reaches.
+
+        A forward pass over the nodes marks the values that depend on a
+        `wrt` id.  A node's VJP runs only when one of its inputs is marked,
+        and is handed the mask of its inputs when some are not, so that it
+        skips their products.  Each node output's gradient is dropped as
+        soon as that node's VJP has run.
+        """
         self._require_record("backward")
+        if wrt is None:
+            made = {node.out_id for node in self.nodes}
+            wrt = [vid for vid in range(len(self._values)) if vid not in made]
+        marked = set(wrt)
+        for node in self.nodes:
+            if not marked.isdisjoint(node.in_ids):
+                marked.add(node.out_id)
         if seed is None:
             seed = np.ones_like(self._values[out_id], dtype=np.float64)
         grads: dict[int, np.ndarray] = {out_id: np.asarray(seed)}
         for node in reversed(self.nodes):
-            g_out = grads.get(node.out_id)
+            g_out = grads.pop(node.out_id, None)
             if g_out is None:
                 continue
-            g_ins = node.backward(g_out)
+            needs = tuple(vid in marked for vid in node.in_ids)
+            if not any(needs):
+                continue
+            if all(needs):
+                g_ins = node.backward(g_out)
+            else:
+                g_ins = node.backward(g_out, needs)
             for vid, g in zip(node.in_ids, g_ins):
                 if g is None:
                     continue
@@ -350,7 +419,7 @@ class Tape:
                     grads[vid] = grads[vid] + g
                 else:
                     grads[vid] = g
-        return grads
+        return {vid: grads[vid] for vid in wrt if vid in grads}
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +430,9 @@ def _add(a, b):
     return a + b, (a.shape, b.shape)
 
 
-def _add_vjp(cache, g):
-    return tuple(_unbroadcast(g, shape) for shape in cache)
+def _add_vjp(cache, g, needs=(True, True)):
+    return tuple(_unbroadcast(g, shape) if need else None
+                 for shape, need in zip(cache, needs))
 
 
 def _identity_vjp(cache, g):

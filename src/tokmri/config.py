@@ -161,7 +161,11 @@ class ExperimentConfig:
                 RecursionError) as exc:
             raise ConfigError(f"{path}: not a valid YAML document: "
                               f"{type(exc).__name__}: {exc}") from None
-        return cls.from_dict({} if doc is None else doc)
+        doc = {} if doc is None else doc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: config document must be a mapping, "
+                              f"got {type(doc).__name__}")
+        return cls.from_dict(doc)
 
     def validate(self) -> None:
         d, t, acq, bench = self.data, self.tokenizer, self.acquisition, self.bench
@@ -171,6 +175,10 @@ class ExperimentConfig:
                              ("train", "epochs"), ("train", "batch_size")):
             if getattr(getattr(self, section), key) < 1:
                 raise ConfigError(f"{section}.{key} must be >= 1")
+        for key in ("n_train", "n_val", "n_test"):
+            count = getattr(d, key)
+            if count < 0:
+                raise ConfigError(f"data.{key} must be >= 0, got {count}")
         for section, key in (("train", "lr"), ("metrics", "psnr_cap")):
             value = getattr(getattr(self, section), key)
             if not (math.isfinite(value) and value > 0):

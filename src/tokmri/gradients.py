@@ -150,7 +150,8 @@ def backward_to_kspace(state: PipelineState,
     """
     if check_replay:
         state.tape.replay_check()
-    grads = state.tape.backward(state.loss_id, seed=np.float64(1.0))
+    grads = state.tape.backward(state.loss_id, seed=np.float64(1.0),
+                                wrt=(state.y_id,))
     g_y = np.asarray(grads[state.y_id], dtype=np.complex128)
     return KSpaceGradient(grad=g_y, magnitude=np.abs(g_y))
 

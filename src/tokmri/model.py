@@ -434,14 +434,27 @@ class TrainState:
 
 def _adam_step(params, grads, state: AdamState, lr, beta1=0.9, beta2=0.999,
                eps=1e-8):
+    """One Adam update of `params`, `state.m` and `state.v`, in place.
+
+    Each in-place operation is the one the textbook formula
+    p - lr * mhat / (sqrt(vhat) + eps) evaluates, in the same order, so the
+    result has the same bits.
+    """
     state.t += 1
     t = state.t
     for name, g in grads.items():
-        state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1 - beta2) * (g * g)
-        mhat = state.m[name] / (1 - beta1**t)
-        vhat = state.v[name] / (1 - beta2**t)
-        params[name] = params[name] - lr * mhat / (np.sqrt(vhat) + eps)
+        m, v = state.m[name], state.v[name]
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * (g * g)
+        step = m / (1 - beta1**t)
+        step *= lr
+        vhat = v / (1 - beta2**t)
+        np.sqrt(vhat, out=vhat)
+        vhat += eps
+        step /= vhat
+        params[name] -= step
 
 
 def batch_loss_and_grads(model: LatentTransformer, q_re: np.ndarray,
@@ -462,7 +475,8 @@ def batch_loss_and_grads(model: LatentTransformer, q_re: np.ndarray,
     ce_im = ad.t_cross_entropy(tape, lim, idx_im, name="ce_im")
     loss_id = ad.t_add(tape, ce_re, ce_im, name="loss")
     loss = float(tape.val(loss_id))
-    grads = tape.backward(loss_id, seed=np.float64(1.0))
+    grads = tape.backward(loss_id, seed=np.float64(1.0),
+                          wrt=tuple(pids.values()))
     pgrads = {
         name: grads.get(pid, np.zeros_like(model.params[name]))
         for name, pid in pids.items()

@@ -296,6 +296,71 @@ class TestFusedSoftmax:
         assert np.array_equal(probs, two_pass_softmax(scores))
 
 
+def one_piece_attention(y, wq, bq, wk, bk, wv, bv, wo, bo, heads, g):
+    """Attention, its cache and the VJP of `g` with every (n, heads, L, L)
+    score tensor formed in one piece."""
+    *lead, L, E = y.shape
+    dh = E // heads
+    yb = y.reshape(-1, L, E)
+    n = yb.shape[0]
+
+    def split(a):
+        return a.reshape(n, L, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        return a.transpose(0, 2, 1, 3).reshape(n, L, E)
+
+    q, k, v = split(yb @ wq + bq), split(yb @ wk + bk), split(yb @ wv + bv)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores /= np.sqrt(dh)
+    probs = ad.softmax(scores, out=scores)
+    o = merge(probs @ v)
+    out = (o @ wo + bo).reshape(*lead, L, E)
+    gb = g.reshape(n, L, E)
+    gc = split(gb @ wo.T)
+    g_scores = ad.softmax_vjp(probs, gc @ v.transpose(0, 1, 3, 2))
+    g_scores /= np.sqrt(dh)
+    gq = merge(g_scores @ k)
+    gk = merge(g_scores.transpose(0, 1, 3, 2) @ q)
+    gv = merge(probs.transpose(0, 1, 3, 2) @ gc)
+    grads = [(gq @ wq.T + gk @ wk.T + gv @ wv.T).reshape(y.shape)]
+    for x, ga in ((yb, gq), (yb, gk), (yb, gv), (o, gb)):
+        grads += [x.reshape(-1, E).T @ ga.reshape(-1, E),
+                  ga.reshape(-1, E).sum(axis=0)]
+    return out, (y, q, k, v, probs, o), grads
+
+
+class TestBlockedAttention:
+    """Attention over blocks of whole (item, head) slices equals the
+    one-piece computation bit for bit: output, cache and all nine
+    gradients."""
+
+    @pytest.mark.parametrize("batch, L, E, heads, blocks", [
+        (1, 64, 64, 4, 1),     # one 64^2 image: the whole call is one block
+        (8, 64, 64, 4, 2),     # 4 items of 4 heads per block
+        (1, 256, 64, 4, 4),    # one 256^2 head per block
+        (8, 256, 64, 4, 32),
+        (3, 128, 48, 3, 3),    # 4 slices fit, 3 heads: one item per block
+        (2, 128, 48, 6, 4),    # blocks of 4 and 2 heads of one item
+    ])
+    def test_matches_one_piece(self, batch, L, E, heads, blocks):
+        assert len(ad._head_blocks(batch, heads, L)) == blocks
+        rng = np.random.default_rng(L + heads)
+        y = rng.standard_normal((batch, L, E))
+        ws = [rng.standard_normal((E, E)) * 0.3 if i % 2 == 0
+              else rng.standard_normal(E) * 0.1 for i in range(8)]
+        g = rng.standard_normal(y.shape)
+        out, cache = ad.attention_forward(y, *ws, heads)
+        ref_out, ref_cache, ref_grads = one_piece_attention(y, *ws, heads, g)
+        assert np.array_equal(out, ref_out)
+        for got, want in zip(cache, ref_cache):
+            assert np.array_equal(got, want)
+        grads = ad.attention_vjp(cache, g)
+        assert len(grads) == len(ref_grads) == 9
+        for got, want in zip(grads, ref_grads):
+            assert np.array_equal(got, want)
+
+
 def erf_ffn_forward(z, w1, b1, w2, b2):
     """The FFN forward that calls erf for GELU and caches the activation."""
     pre = z @ w1 + b1
@@ -390,6 +455,10 @@ def node_named(tape: Tape, name: str):
     return node
 
 
+MULTI_INPUT_BUILDERS = [b for b in BUILDERS
+                        if len(node_named(every_op_graph(), b).in_ids) > 1]
+
+
 class TestTape:
     @pytest.mark.parametrize("builder", BUILDERS)
     def test_replay_bit_identical(self, builder):
@@ -405,6 +474,36 @@ class TestTape:
         assert len(g_ins) == len(node.in_ids)
         for vid, g in zip(node.in_ids, g_ins):
             assert np.shape(g) == tape.val(vid).shape
+
+    @pytest.mark.parametrize("builder", MULTI_INPUT_BUILDERS)
+    def test_masked_vjp_computes_only_needed_gradients(self, builder):
+        tape = every_op_graph()
+        node = node_named(tape, builder)
+        g = np.random.default_rng(3).standard_normal(tape.val(node.out_id).shape)
+        full = node.backward(g)
+        for i in range(len(node.in_ids)):
+            needs = tuple(j == i for j in range(len(node.in_ids)))
+            part = node.backward(g, needs)
+            assert len(part) == len(needs)
+            for j, (got, want) in enumerate(zip(part, full)):
+                if j == i:
+                    assert np.array_equal(got, want)
+                else:
+                    assert got is None
+
+    def test_wrt_sweep_returns_exactly_wrt_ids(self):
+        tape = every_op_graph()
+        loss = tape.nodes[-1].out_id
+        made = {node.out_id for node in tape.nodes}
+        sources = [vid for vid in range(len(tape._values)) if vid not in made]
+        full = tape.backward(loss)
+        assert sorted(full) == sources  # every source reaches the loss
+        wrt = (sources[0], sources[3])
+        for _ in range(2):  # the node caches outlive a sweep
+            part = tape.backward(loss, wrt=wrt)
+            assert sorted(part) == sorted(wrt)
+            for vid in wrt:
+                assert np.array_equal(part[vid], full[vid])
 
     @pytest.mark.parametrize("builder", BUILDERS)
     def test_replay_detects_tampering(self, builder):

@@ -143,8 +143,9 @@ class TestConfig:
     def test_falsy_non_mapping_document_rejected(self, tmp_path, text):
         path = tmp_path / "falsy.yaml"
         path.write_text(text)
-        with pytest.raises(ConfigError, match="must be a mapping"):
+        with pytest.raises(ConfigError, match="must be a mapping") as exc:
             ExperimentConfig.load(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -388,6 +389,9 @@ class TestCLI:
 
     @pytest.mark.parametrize("doc, key", [
         ("data:\n  size: 0\n", "data.size"),
+        ("data:\n  n_train: -5\n", "data.n_train"),
+        ("data:\n  n_val: -1\n", "data.n_val"),
+        ("data:\n  n_test: -1\n", "data.n_test"),
         ("tokenizer:\n  K: 0\n", "tokenizer.K"),
         ("tokenizer:\n  D: 0\n", "tokenizer.D"),
         ("tokenizer:\n  p: 0\n", "tokenizer.p"),

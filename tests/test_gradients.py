@@ -113,6 +113,19 @@ class TestBackwardToKspace:
                 an = get(grad.grad[r, c])
                 assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-6)
 
+    def test_kspace_sweep_matches_full_sweep(self, toy_setup):
+        tok, model = toy_setup
+        img = random_ellipse_phantom(PhantomSpec(size=16, n_ellipses=3, seed=13))
+        state = pipeline_forward(acquire(img, make_center_mask(16, 0.25)),
+                                 tok, model)
+        full = state.tape.backward(state.loss_id, seed=np.float64(1.0))
+        assert len(full) > 1  # the weights' gradients too
+        only = state.tape.backward(state.loss_id, seed=np.float64(1.0),
+                                   wrt=(state.y_id,))
+        assert list(only) == [state.y_id]
+        assert np.array_equal(only[state.y_id], full[state.y_id])
+        assert np.array_equal(backward_to_kspace(state).grad, full[state.y_id])
+
     def test_replay_check_detects_corruption(self, toy_setup):
         tok, model = toy_setup
         img = random_ellipse_phantom(PhantomSpec(size=16, n_ellipses=3, seed=7))
