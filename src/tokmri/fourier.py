@@ -159,15 +159,14 @@ def sampling_budget(num_lines: int, R: int, rho_c: float) -> int:
 def acquire(
     img: np.ndarray,
     mask: SamplingMask,
-    noise: NoiseSpec = NoiseSpec(),
     noise_field: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Simulate one acquisition: mask ∘ (FFT(img) + noise).
+    """Simulate one acquisition: mask ∘ (FFT(img) + noise_field).
 
-    Noise is added on sampled entries only; unsampled entries are exactly
-    zero.  Passing `noise_field` (a precomputed full-grid draw) lets a
-    caller reuse one physical noise realization across repeated
-    measurements of the same lines.
+    `noise_field` is a full-grid draw (e.g. `NoiseSpec.draw`), so that a
+    caller can reuse one physical noise realization across repeated
+    measurements of the same lines; None measures without noise.  Unsampled
+    entries are exactly zero.
     """
     img = np.asarray(img, dtype=np.complex128)
     if img.shape[0] != mask.num_lines:
@@ -176,8 +175,9 @@ def acquire(
             f"mask expects {mask.num_lines}"
         )
     ksp = forward_fft(img)
-    eta = noise.draw(img.shape) if noise_field is None else noise_field
-    return mask.apply(ksp + eta)
+    if noise_field is not None:
+        ksp += noise_field
+    return mask.apply(ksp)
 
 
 def zero_fill(ksp: np.ndarray) -> np.ndarray:

@@ -20,23 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape
 from .errors import InvalidInputError
-from .model import LatentTransformer, TokenDistribution, build_forward
+from .model import LatentTransformer, build_forward
 from .tokenizer import CHANNEL_NORM_EPS, ChannelStats, Tokenizer, channel_stats
-
-
-def entropy_nats(probs: np.ndarray) -> np.ndarray:
-    """Row-wise Shannon entropy in nats with the 0*log(0) = 0 convention."""
-    p = np.asarray(probs, dtype=np.float64)
-    terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return -terms.sum(axis=-1)
-
-
-def stream_entropy(dist: TokenDistribution) -> np.ndarray:
-    """Per-position entropy of one stream, from logits when available."""
-    if dist.logits is not None:
-        _, (_, _, h) = ad.entropy_sum_from_logits(dist.logits)
-        return h
-    return entropy_nats(dist.probs)
 
 
 @dataclass(frozen=True)
@@ -64,8 +49,8 @@ class PipelineState:
     q_re_id: int
     q_im_id: int
     loss_id: int
-    dist_re: TokenDistribution
-    dist_im: TokenDistribution
+    logits_re: np.ndarray  # (L, K)
+    logits_im: np.ndarray
     stats_re: ChannelStats
     stats_im: ChannelStats
     grid: tuple[int, int]
@@ -122,8 +107,6 @@ def pipeline_forward(
     h_im = ad.t_entropy_sum(tape, lim, name="entropy_im")
     loss_id = ad.t_add(tape, h_re, h_im, name="total_entropy")
 
-    logits_re = tape.val(lre)
-    logits_im = tape.val(lim)
     return PipelineState(
         tape=tape,
         y_id=y_id,
@@ -132,8 +115,8 @@ def pipeline_forward(
         q_re_id=q_ids[0],
         q_im_id=q_ids[1],
         loss_id=loss_id,
-        dist_re=TokenDistribution("re", ad.softmax(logits_re), logits_re),
-        dist_im=TokenDistribution("im", ad.softmax(logits_im), logits_im),
+        logits_re=tape.val(lre),
+        logits_im=tape.val(lim),
         stats_re=channel_stats(tape.val(ch_ids[0])),
         stats_im=channel_stats(tape.val(ch_ids[1])),
         grid=(gh, gw),

@@ -1,6 +1,6 @@
 """Latent transformer: fuses the two token streams and predicts, for every
-latent position, a categorical distribution over codebook indices for the
-real and the imaginary stream.
+latent position, the logits of a categorical distribution over codebook
+indices for the real and the imaginary stream.
 
 The trunk is a small pre-norm transformer with full bidirectional
 self-attention (the task is token in-painting from a corrupted full
@@ -70,29 +70,18 @@ class TransformerConfig:
             )
 
 
-@dataclass(frozen=True)
-class TokenDistribution:
-    """Per-position categorical distribution over the codebook, one stream."""
-
-    stream: str  # "re" or "im"
-    probs: np.ndarray  # (L, K)
-    logits: np.ndarray | None = None  # (L, K), for numerically stable losses
-
-    @property
-    def L(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.probs.shape[1]
-
-
-def predicted_tokens(dist: TokenDistribution, cb: Codebook,
+def predicted_tokens(logits: np.ndarray, cb: Codebook,
                      grid_h: int, grid_w: int) -> LatentGrid:
-    """Argmax index per position (lowest index wins ties) -> codebook rows."""
-    if dist.K != cb.K:
-        raise ShapeMismatchError(f"distribution K={dist.K} != codebook K={cb.K}")
-    indices = np.argmax(dist.probs, axis=1)
+    """Most probable index per position -> codebook rows.
+
+    The argmax reads the softmax, not the logits: distinct logits can round
+    to equal probabilities, and then the lowest index wins.
+    """
+    if logits.shape[1] != cb.K:
+        raise ShapeMismatchError(
+            f"prediction K={logits.shape[1]} != codebook K={cb.K}"
+        )
+    indices = np.argmax(ad.softmax(logits), axis=1)
     return LatentGrid(cb.entries[indices], grid_h, grid_w)
 
 
@@ -261,8 +250,9 @@ class LatentTransformer:
             )
 
     def predict(self, q_re: LatentGrid, q_im: LatentGrid
-                ) -> tuple[TokenDistribution, TokenDistribution]:
-        """Inference pass; deterministic given weights and inputs.
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """(L, K) logits of the real and the imaginary stream; deterministic
+        given weights and inputs.
 
         Runs `build_forward` on a non-recording tape: only the logits are
         needed, so no backward cache is kept.
@@ -273,12 +263,7 @@ class LatentTransformer:
         rid = tape.source(q_re.vectors, "q_re")
         iid = tape.source(q_im.vectors, "q_im")
         lre, lim = build_forward(tape, pids, self.cfg, rid, iid)
-        logits_re = tape.val(lre)
-        logits_im = tape.val(lim)
-        return (
-            TokenDistribution("re", ad.softmax(logits_re), logits_re),
-            TokenDistribution("im", ad.softmax(logits_im), logits_im),
-        )
+        return tape.val(lre), tape.val(lim)
 
     # -- persistence --------------------------------------------------------
 
@@ -477,11 +462,7 @@ def batch_loss_and_grads(model: LatentTransformer, q_re: np.ndarray,
     loss = float(tape.val(loss_id))
     grads = tape.backward(loss_id, seed=np.float64(1.0),
                           wrt=tuple(pids.values()))
-    pgrads = {
-        name: grads.get(pid, np.zeros_like(model.params[name]))
-        for name, pid in pids.items()
-    }
-    return loss, pgrads
+    return loss, {name: grads[pid] for name, pid in pids.items()}
 
 
 def train_model(

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import (
     BudgetExhaustedError,
     ConfigError,
@@ -38,20 +39,9 @@ from .fourier import (
     sampling_budget,
     zero_fill,
 )
-from .gradients import (
-    backward_to_kspace,
-    line_gradient_scores,
-    pipeline_forward,
-    stream_entropy,
-)
+from .gradients import backward_to_kspace, line_gradient_scores, pipeline_forward
 from .metrics import nmse
-from .model import (
-    LatentTransformer,
-    TokenDistribution,
-    predicted_tokens,
-    reconstruct,
-    tokenize_image,
-)
+from .model import LatentTransformer, predicted_tokens, reconstruct, tokenize_image
 from .tokenizer import Tokenizer
 
 POLICIES = ("random", "les", "geo", "oracle")
@@ -123,10 +113,13 @@ class EntropyMap:
     U_kspace: np.ndarray  # (H, W), |FFT(U_space)|
 
 
-def patch_entropy(dist_re: TokenDistribution, dist_im: TokenDistribution,
+def patch_entropy(logits_re: np.ndarray, logits_im: np.ndarray,
                   grid_h: int, grid_w: int) -> np.ndarray:
-    """Per-position entropy (nats) summed over both streams, on the grid."""
-    h = stream_entropy(dist_re) + stream_entropy(dist_im)
+    """Per-position entropy (nats) of the softmax of each stream's (L, K)
+    logits, summed over both streams, on the grid."""
+    _, (_, _, h_re) = ad.entropy_sum_from_logits(logits_re)
+    _, (_, _, h_im) = ad.entropy_sum_from_logits(logits_im)
+    h = h_re + h_im
     if h.size != grid_h * grid_w:
         raise ShapeMismatchError(
             f"{h.size} positions do not fill a {grid_h}×{grid_w} grid"
@@ -161,9 +154,9 @@ def upsample_bilinear(h: np.ndarray, H: int, W: int) -> np.ndarray:
     return _axis_lerp(_axis_lerp(h, H, axis=0), W, axis=1)
 
 
-def entropy_map(dist_re: TokenDistribution, dist_im: TokenDistribution,
+def entropy_map(logits_re: np.ndarray, logits_im: np.ndarray,
                 grid_h: int, grid_w: int, H: int, W: int) -> EntropyMap:
-    h = patch_entropy(dist_re, dist_im, grid_h, grid_w)
+    h = patch_entropy(logits_re, logits_im, grid_h, grid_w)
     u_space = upsample_bilinear(h, H, W)
     u_kspace = np.abs(forward_fft(u_space))
     return EntropyMap(h=h, U_space=u_space, U_kspace=u_kspace)
@@ -223,10 +216,10 @@ def oracle_reconstruct(ground_truth: np.ndarray,
                        tokens.stats_re, tokens.stats_im)
 
 
-def _reconstruct_from_distributions(tokenizer, dist_re, dist_im,
-                                    stats_re, stats_im, grid):
-    q_re = predicted_tokens(dist_re, tokenizer.codebook, *grid)
-    q_im = predicted_tokens(dist_im, tokenizer.codebook, *grid)
+def _reconstruct_from_logits(tokenizer, logits_re, logits_im,
+                             stats_re, stats_im, grid):
+    q_re = predicted_tokens(logits_re, tokenizer.codebook, *grid)
+    q_im = predicted_tokens(logits_im, tokenizer.codebook, *grid)
     return reconstruct(tokenizer, q_re, q_im, stats_re, stats_im)
 
 
@@ -273,17 +266,17 @@ def run_acquisition(
 
         if cfg.policy == "geo":
             state = pipeline_forward(ksp, tokenizer, model)
-            dist_re, dist_im = state.dist_re, state.dist_im
+            logits_re, logits_im = state.logits_re, state.logits_im
             stats_re, stats_im = state.stats_re, state.stats_im
             grad = backward_to_kspace(state)
             scores = line_gradient_scores(grad.magnitude)
             lines = geo_select(scores, mask, n_t)
         else:
             zf = tokenize_image(tokenizer, zero_fill(ksp))
-            dist_re, dist_im = model.predict(zf.q_re, zf.q_im)
+            logits_re, logits_im = model.predict(zf.q_re, zf.q_im)
             stats_re, stats_im = zf.stats_re, zf.stats_im
             if cfg.policy == "les":
-                emap = entropy_map(dist_re, dist_im, zf.q_re.grid_h,
+                emap = entropy_map(logits_re, logits_im, zf.q_re.grid_h,
                                    zf.q_re.grid_w, H, W)
                 scores = emap.U_kspace.mean(axis=1)
                 lines = les_select(emap.U_kspace, mask, n_t)
@@ -292,8 +285,8 @@ def run_acquisition(
                 lines = random_select(mask, n_t, rng)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
 
-        recon_t = _reconstruct_from_distributions(
-            tokenizer, dist_re, dist_im, stats_re, stats_im,
+        recon_t = _reconstruct_from_logits(
+            tokenizer, logits_re, logits_im, stats_re, stats_im,
             (H // tokenizer.p, W // tokenizer.p),
         )
         mask = mask.with_lines(lines)
@@ -309,9 +302,9 @@ def run_acquisition(
 
     ksp = mask.apply(full_ksp)
     zf = tokenize_image(tokenizer, zero_fill(ksp))
-    dist_re, dist_im = model.predict(zf.q_re, zf.q_im)
-    recon = _reconstruct_from_distributions(
-        tokenizer, dist_re, dist_im, zf.stats_re, zf.stats_im,
+    logits_re, logits_im = model.predict(zf.q_re, zf.q_im)
+    recon = _reconstruct_from_logits(
+        tokenizer, logits_re, logits_im, zf.stats_re, zf.stats_im,
         (zf.q_re.grid_h, zf.q_re.grid_w),
     )
     traj.final_mask = mask

@@ -29,7 +29,6 @@ from tokmri.gradients import backward_to_kspace, pipeline_forward
 from tokmri.phantoms import PhantomSpec, random_ellipse_phantom
 from tokmri.policies import AcquisitionConfig, patch_entropy, run_acquisition
 from tokmri.storage import load_mask
-from tokmri.model import TokenDistribution
 
 
 def _report(num, description):
@@ -142,19 +141,19 @@ def test_criterion_04_geo_gradient_finite_differences(toy_setup):
 
 def test_criterion_05_entropy_bounds_and_values():
     K = 256
-    uniform = np.full((16, K), 1.0 / K)
-    one_hot = np.zeros((16, K))
-    one_hot[:, 5] = 1.0
-    du = TokenDistribution("re", uniform, None)
-    dh = TokenDistribution("im", one_hot, None)
-    h_uniform = patch_entropy(du, TokenDistribution("im", uniform, None), 4, 4)
+    # logits: uniform is all zeros; one-hot is 0 at the hot index and -1e3
+    # elsewhere, where exp underflows to exactly 0
+    uniform = np.zeros((16, K))
+    one_hot = np.full((16, K), -1e3)
+    one_hot[:, 5] = 0.0
+    h_uniform = patch_entropy(uniform, uniform, 4, 4)
     assert np.max(np.abs(h_uniform - 2 * math.log(K))) < 1e-9
-    h_zero = patch_entropy(TokenDistribution("re", one_hot, None), dh, 4, 4)
+    h_zero = patch_entropy(one_hot, one_hot, 4, 4)
     assert np.all(h_zero == 0.0)
     rng = np.random.default_rng(5)
     mixed = patch_entropy(
-        TokenDistribution("re", rng.dirichlet(np.ones(K), size=16), None),
-        TokenDistribution("im", rng.dirichlet(np.ones(K), size=16), None),
+        np.log(rng.dirichlet(np.ones(K), size=16)),
+        np.log(rng.dirichlet(np.ones(K), size=16)),
         4, 4,
     )
     assert np.all(mixed >= 0.0)

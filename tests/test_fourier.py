@@ -197,8 +197,8 @@ class TestAcquire:
         rng = np.random.default_rng(7)
         img = random_complex(rng, (8, 8))
         mask = make_center_mask(8, 0.5)
-        a = acquire(img, mask, NoiseSpec(0.0, seed=1))
-        b = acquire(img, mask, NoiseSpec(0.0, seed=2))
+        a = acquire(img, mask, NoiseSpec(0.0, seed=1).draw(img.shape))
+        b = acquire(img, mask, NoiseSpec(0.0, seed=2).draw(img.shape))
         assert np.array_equal(a, b)
 
     def test_noise_statistics(self):
@@ -206,7 +206,7 @@ class TestAcquire:
         sigma = 0.5
         mask = SamplingMask(128, np.ones(128, dtype=bool))
         img = np.zeros((128, 128), dtype=complex)
-        ksp = acquire(img, mask, NoiseSpec(sigma, seed=123))
+        ksp = acquire(img, mask, NoiseSpec(sigma, seed=123).draw(img.shape))
         assert ksp.size >= 10**4
         assert abs(np.var(ksp.real) - sigma**2) < 0.05 * sigma**2
         assert abs(np.var(ksp.imag) - sigma**2) < 0.05 * sigma**2
@@ -214,7 +214,7 @@ class TestAcquire:
     def test_noise_only_on_sampled_lines(self):
         mask = make_center_mask(16, 0.25)
         img = np.zeros((16, 16), dtype=complex)
-        ksp = acquire(img, mask, NoiseSpec(1.0, seed=3))
+        ksp = acquire(img, mask, NoiseSpec(1.0, seed=3).draw(img.shape))
         assert np.all(ksp[~mask.flags] == 0)
         assert np.all(ksp[mask.flags] != 0)
 

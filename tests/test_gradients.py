@@ -10,53 +10,57 @@ from tokmri.gradients import (
     line_gradient_scores,
     pipeline_forward,
 )
-from tokmri.model import TokenDistribution
+from tokmri.autodiff import softmax
 from tokmri.phantoms import PhantomSpec, random_ellipse_phantom
 from tokmri.policies import patch_entropy
 
 RNG = np.random.default_rng(1234)
 
 
-def dist_from_probs(probs, stream="re"):
-    return TokenDistribution(stream, np.asarray(probs, dtype=float), None)
+def one_hot_logits(hot, K):
+    """0 at each row's hot index and -1e3 elsewhere: exp underflows to 0."""
+    z = np.full((len(hot), K), -1e3)
+    z[np.arange(len(hot)), hot] = 0.0
+    return z
 
 
-def total_entropy(dist_re, dist_im):
+def entropy_nats(probs):
+    """Row-wise -sum p log p in nats with the 0*log(0) = 0 convention."""
+    p = np.asarray(probs, dtype=np.float64)
+    terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    return -terms.sum(axis=-1)
+
+
+def total_entropy(logits_re, logits_im):
     """Summed per-position entropy of both streams (nats)."""
-    return float(patch_entropy(dist_re, dist_im, dist_re.L, 1).sum())
+    return float(patch_entropy(logits_re, logits_im, len(logits_re), 1).sum())
 
 
 class TestTotalEntropyLoss:
     def test_one_hot_rows_zero(self):
-        probs = np.zeros((5, 4))
-        probs[:, 2] = 1.0
-        d = dist_from_probs(probs)
-        assert total_entropy(d, d) == 0.0
+        z = one_hot_logits([2] * 5, 4)
+        assert total_entropy(z, z) == 0.0
 
     def test_uniform_value(self):
-        probs = np.full((16, 256), 1.0 / 256)
-        d = dist_from_probs(probs)
+        z = np.zeros((16, 256))
         expect = 2 * 16 * math.log(256)
-        assert abs(total_entropy(d, d) - expect) < 1e-9
+        assert abs(total_entropy(z, z) - expect) < 1e-9
 
     def test_mixed_hand_case(self):
         # one uniform row (K=4), rest one-hot, single stream counted once
-        probs = np.zeros((3, 4))
-        probs[0] = 0.25
-        probs[1, 1] = 1.0
-        probs[2, 3] = 1.0
-        d = dist_from_probs(probs)
-        zero = dist_from_probs(np.eye(4)[:3])
-        assert abs(total_entropy(d, zero) - math.log(4)) < 1e-12
+        z = one_hot_logits([0, 1, 3], 4)
+        z[0] = 0.0
+        zero = one_hot_logits([0, 1, 2], 4)
+        assert abs(total_entropy(z, zero) - math.log(4)) < 1e-12
 
     def test_matches_logit_path(self):
+        # the direct -sum p log p of the softmax, one-hot rows included
         logits = RNG.standard_normal((6, 9))
+        logits[4:] = one_hot_logits([1, 7], 9)
         p = np.exp(logits - logits.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
-        from_probs = dist_from_probs(p)
-        from_logits = TokenDistribution("re", p, logits)
-        assert abs(total_entropy(from_probs, from_probs)
-                   - total_entropy(from_logits, from_logits)) < 1e-9
+        expect = 2 * entropy_nats(p).sum()
+        assert abs(total_entropy(logits, logits) - expect) < 1e-9
 
 
 class TestBackwardToKspace:
@@ -154,9 +158,9 @@ class TestBackwardToKspace:
         ksp = acquire(img, make_center_mask(16, 0.25))
         state = pipeline_forward(ksp, tok, model)
         zf = tokenize_image(tok, zero_fill(ksp))
-        dre, dim_ = model.predict(zf.q_re, zf.q_im)
-        assert np.allclose(state.dist_re.probs, dre.probs, atol=1e-12)
-        assert np.allclose(state.dist_im.probs, dim_.probs, atol=1e-12)
+        lre, lim = model.predict(zf.q_re, zf.q_im)
+        assert np.allclose(softmax(state.logits_re), softmax(lre), atol=1e-12)
+        assert np.allclose(softmax(state.logits_im), softmax(lim), atol=1e-12)
 
 
 class TestLineGradientScores:

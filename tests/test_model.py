@@ -11,7 +11,6 @@ from tokmri.fourier import NoiseSpec, make_center_mask
 from tokmri.model import (
     LatentTransformer,
     RandomMaskSampler,
-    TokenDistribution,
     TransformerConfig,
     batch_loss_and_grads,
     build_forward,
@@ -68,8 +67,8 @@ class TestFuseStreams:
                 scale=0.2, size=model.params[name].shape)
         a = grid(RNG.standard_normal((4, 6)), 2, 2)
         b = grid(RNG.standard_normal((4, 6)), 2, 2)
-        for d_ab, d_ba in zip(model.predict(a, b), model.predict(b, a)):
-            assert np.array_equal(d_ab.logits, d_ba.logits)
+        for z_ab, z_ba in zip(model.predict(a, b), model.predict(b, a)):
+            assert np.array_equal(z_ab, z_ba)
 
     def test_hand_computed_row(self):
         a = grid([[1.0, 2.0, 3.0, 4.0]], 1, 1)
@@ -96,18 +95,18 @@ class TestPredict:
                 scale=0.2, size=model.params[name].shape)
         q_re = grid(RNG.standard_normal((4, 8)), 2, 2)
         q_im = grid(RNG.standard_normal((4, 8)), 2, 2)
-        dre, dim_ = model.predict(q_re, q_im)
-        assert np.allclose(dre.probs.sum(axis=1), 1.0, atol=1e-9)
-        assert np.allclose(dim_.probs.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(dre.probs > 0) and np.all(dre.probs < 1)
+        p_re, p_im = map(ad.softmax, model.predict(q_re, q_im))
+        assert np.allclose(p_re.sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(p_im.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(p_re > 0) and np.all(p_re < 1)
 
     def test_zero_heads_give_uniform(self):
         model = make_model()  # heads start at zero by construction
         q_re = grid(RNG.standard_normal((4, 8)), 2, 2)
         q_im = grid(RNG.standard_normal((4, 8)), 2, 2)
-        dre, dim_ = model.predict(q_re, q_im)
-        assert np.allclose(dre.probs, 1.0 / 8, atol=1e-15)
-        assert np.allclose(dim_.probs, 1.0 / 8, atol=1e-15)
+        p_re, p_im = map(ad.softmax, model.predict(q_re, q_im))
+        assert np.allclose(p_re, 1.0 / 8, atol=1e-15)
+        assert np.allclose(p_im, 1.0 / 8, atol=1e-15)
 
     def test_permutation_equivariance(self):
         model = make_model(seed=3)
@@ -116,25 +115,23 @@ class TestPredict:
                 scale=0.2, size=model.params[name].shape)
         q_re = grid(RNG.standard_normal((4, 8)), 2, 2)
         q_im = grid(RNG.standard_normal((4, 8)), 2, 2)
-        dre, _ = model.predict(q_re, q_im)
+        lre, _ = model.predict(q_re, q_im)
         perm = np.array([2, 0, 3, 1])
         model_p = LatentTransformer(model.cfg,
                                     {k: v.copy() for k, v in model.params.items()},
                                     model.latent_dim, model.seq_len,
                                     model.codebook_size)
         model_p.params["pos"] = model.params["pos"][perm]
-        dre_p, _ = model_p.predict(grid(q_re.vectors[perm], 2, 2),
+        lre_p, _ = model_p.predict(grid(q_re.vectors[perm], 2, 2),
                                    grid(q_im.vectors[perm], 2, 2))
-        assert np.allclose(dre_p.probs, dre.probs[perm], atol=1e-10)
+        assert np.allclose(ad.softmax(lre_p), ad.softmax(lre)[perm], atol=1e-10)
 
     def test_deterministic_bit_identical(self):
         model = make_model(seed=5)
         q_re = grid(RNG.standard_normal((4, 8)), 2, 2)
         q_im = grid(RNG.standard_normal((4, 8)), 2, 2)
-        a, _ = model.predict(q_re, q_im)
-        b, _ = model.predict(q_re, q_im)
-        assert np.array_equal(a.probs, b.probs)
-        assert np.array_equal(a.logits, b.logits)
+        for a, b in zip(model.predict(q_re, q_im), model.predict(q_re, q_im)):
+            assert np.array_equal(a, b)
 
     def test_logits_equal_recorded_forward(self):
         rng = np.random.default_rng(6)
@@ -148,10 +145,9 @@ class TestPredict:
         lre, lim = build_forward(tape, model.source_params(tape), model.cfg,
                                  tape.source(q_re.vectors),
                                  tape.source(q_im.vectors))
-        dre, dim_ = model.predict(q_re, q_im)
-        assert np.array_equal(dre.logits, tape.val(lre))
-        assert np.array_equal(dim_.logits, tape.val(lim))
-        assert np.array_equal(dre.probs, ad.softmax(tape.val(lre)))
+        pred_re, pred_im = model.predict(q_re, q_im)
+        assert np.array_equal(pred_re, tape.val(lre))
+        assert np.array_equal(pred_im, tape.val(lim))
 
     def test_geometry_mismatch(self):
         model = make_model()
@@ -163,24 +159,37 @@ class TestPredict:
 class TestPredictedTokens:
     def test_one_hot(self):
         cb = Codebook(RNG.standard_normal((8, 4)))
-        probs = np.zeros((1, 8))
-        probs[0, 7] = 1.0
-        dist = TokenDistribution("re", probs, np.log(probs + 1e-300))
-        assert np.array_equal(predicted_tokens(dist, cb, 1, 1).vectors[0],
+        logits = np.full((1, 8), -1e3)
+        logits[0, 7] = 0.0
+        assert np.array_equal(predicted_tokens(logits, cb, 1, 1).vectors[0],
                               cb.entries[7])
 
     def test_uniform_tie_breaks_to_zero(self):
         cb = Codebook(RNG.standard_normal((8, 4)))
-        probs = np.full((1, 8), 1.0 / 8)
-        dist = TokenDistribution("re", probs, None)
-        assert np.array_equal(predicted_tokens(dist, cb, 1, 1).vectors[0],
+        uniform = np.zeros((1, 8))
+        assert np.array_equal(predicted_tokens(uniform, cb, 1, 1).vectors[0],
+                              cb.entries[0])
+
+    def test_probability_tie_breaks_to_zero(self):
+        # distinct logits whose softmax rounds to [0.5, 0.5]: the tie rule
+        # reads the probabilities, so index 0 wins where the logits pick 1
+        cb = Codebook(RNG.standard_normal((2, 2)))
+        logits = np.array([[0.0, 1e-17]])
+        assert np.argmax(logits) == 1
+        assert np.array_equal(ad.softmax(logits), [[0.5, 0.5]])
+        assert np.array_equal(predicted_tokens(logits, cb, 1, 1).vectors[0],
                               cb.entries[0])
 
     def test_argmax(self):
         cb = Codebook(RNG.standard_normal((3, 2)))
-        dist = TokenDistribution("im", np.array([[0.1, 0.7, 0.2]]), None)
-        assert np.array_equal(predicted_tokens(dist, cb, 1, 1).vectors[0],
+        logits = np.log(np.array([[0.1, 0.7, 0.2]]))
+        assert np.array_equal(predicted_tokens(logits, cb, 1, 1).vectors[0],
                               cb.entries[1])
+
+    def test_codebook_size_mismatch(self):
+        cb = Codebook(RNG.standard_normal((8, 4)))
+        with pytest.raises(ShapeMismatchError):
+            predicted_tokens(np.zeros((1, 5)), cb, 1, 1)
 
 
 def cross_entropy(logits, targets):
@@ -504,4 +513,4 @@ class TestPersistence:
         q = grid(rng.standard_normal((4, 8)), 2, 2)
         a, _ = model.predict(q, q)
         b, _ = back.predict(q, q)
-        assert np.array_equal(a.logits, b.logits)
+        assert np.array_equal(a, b)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tokmri.autodiff import softmax
 from tokmri.errors import BudgetExhaustedError, ConfigError
 from tokmri.fourier import (
     NoiseSpec,
@@ -12,16 +13,11 @@ from tokmri.fourier import (
     sampling_budget,
     zero_fill,
 )
-from tokmri.model import (
-    TokenDistribution,
-    TransformerConfig,
-    tokenize_image,
-    train_model,
-)
+from tokmri.model import TransformerConfig, tokenize_image, train_model
 from tokmri.phantoms import PhantomSpec, random_ellipse_phantom
 from tokmri.policies import (
     AcquisitionConfig,
-    _reconstruct_from_distributions,
+    _reconstruct_from_logits,
     entropy_map,
     geo_select,
     les_select,
@@ -36,33 +32,34 @@ from tokmri.tokenizer import channel_stats, normalize_channel, train_tokenizer
 RNG = np.random.default_rng(31)
 
 
-def dist(probs, stream="re"):
-    return TokenDistribution(stream, np.asarray(probs, dtype=float), None)
+def logits_of(support, K):
+    """Logits 0 on each row's `support` columns and -1e3 elsewhere: their
+    softmax is uniform on the support and exactly 0 off it (exp underflows)."""
+    z = np.full((len(support), K), -1e3)
+    for row, cols in zip(z, support):
+        row[cols] = 0.0
+    return z
 
 
 class TestPatchEntropy:
     def test_one_hot_zero_map(self):
-        probs = np.eye(4)[np.zeros(16, dtype=int)]
-        h = patch_entropy(dist(probs), dist(probs, "im"), 4, 4)
+        one_hot = logits_of([[0]] * 16, 4)
+        h = patch_entropy(one_hot, one_hot, 4, 4)
         assert np.array_equal(h, np.zeros((4, 4)))
 
     def test_uniform_value(self):
-        probs = np.full((16, 256), 1.0 / 256)
-        h = patch_entropy(dist(probs), dist(probs, "im"), 4, 4)
+        uniform = np.zeros((16, 256))
+        h = patch_entropy(uniform, uniform, 4, 4)
         assert np.allclose(h, 2 * math.log(256), atol=1e-9)
 
     def test_exact_zeros_convention(self):
-        row = np.zeros((1, 8))
-        row[0, 0] = row[0, 1] = 0.5
-        one_hot = np.zeros((1, 8))
-        one_hot[0, 3] = 1.0
-        h = patch_entropy(dist(row), dist(one_hot, "im"), 1, 1)
+        h = patch_entropy(logits_of([[0, 1]], 8), logits_of([[3]], 8), 1, 1)
         assert abs(h[0, 0] - math.log(2)) < 1e-12
 
     def test_bounds(self):
-        probs_re = RNG.dirichlet(np.ones(16), size=64)
-        probs_im = RNG.dirichlet(np.ones(16), size=64)
-        h = patch_entropy(dist(probs_re), dist(probs_im, "im"), 8, 8)
+        logits_re = np.log(RNG.dirichlet(np.ones(16), size=64))
+        logits_im = np.log(RNG.dirichlet(np.ones(16), size=64))
+        h = patch_entropy(logits_re, logits_im, 8, 8)
         assert np.all(h >= 0)
         assert np.all(h <= 2 * math.log(16) + 1e-12)
 
@@ -88,8 +85,8 @@ class TestUpsampleBilinear:
             upsample_bilinear(np.zeros((3, 3)), 8, 8)
 
     def test_entropy_map_kspace_is_fft_magnitude(self):
-        probs = RNG.dirichlet(np.ones(8), size=16)
-        emap = entropy_map(dist(probs), dist(probs, "im"), 4, 4, 16, 16)
+        logits = np.log(RNG.dirichlet(np.ones(8), size=16))
+        emap = entropy_map(logits, logits, 4, 4, 16, 16)
         assert np.array_equal(emap.U_kspace, np.abs(forward_fft(emap.U_space)))
         assert np.all(emap.h >= 0)
         assert np.all(emap.h <= 2 * math.log(8) + 1e-12)
@@ -365,9 +362,9 @@ class TestRunAcquisition:
         field = NoiseSpec(0.05, seed=9 ^ 4).draw(img.shape)
         ksp = acquire(img, traj.final_mask, noise_field=field)
         zf = tokenize_image(tok, zero_fill(ksp))
-        dist_re, dist_im = model.predict(zf.q_re, zf.q_im)
-        recon = _reconstruct_from_distributions(
-            tok, dist_re, dist_im, zf.stats_re, zf.stats_im,
+        logits_re, logits_im = model.predict(zf.q_re, zf.q_im)
+        recon = _reconstruct_from_logits(
+            tok, logits_re, logits_im, zf.stats_re, zf.stats_im,
             (zf.q_re.grid_h, zf.q_re.grid_w))
         assert np.array_equal(traj.reconstruction, recon)
 
@@ -418,9 +415,9 @@ class TestOracleReconstruct:
         images, tok, model = overfit_setup
         img = images[0]
         gt_tokens = tokenize_image(tok, img)
-        dre, dim_ = model.predict(gt_tokens.q_re, gt_tokens.q_im)
-        assert np.array_equal(np.argmax(dre.probs, axis=1), gt_tokens.idx_re)
-        assert np.array_equal(np.argmax(dim_.probs, axis=1), gt_tokens.idx_im)
+        lre, lim = model.predict(gt_tokens.q_re, gt_tokens.q_im)
+        assert np.array_equal(np.argmax(softmax(lre), axis=1), gt_tokens.idx_re)
+        assert np.array_equal(np.argmax(softmax(lim), axis=1), gt_tokens.idx_im)
 
         cfg = AcquisitionConfig(R=1, rho_c=0.0, T=2, policy="random", seed=0)
         traj = run_acquisition(img, cfg, model, tok)
