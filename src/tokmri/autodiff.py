@@ -33,7 +33,13 @@ from scipy.special import erf
 
 from .errors import ShapeMismatchError, TapeConsistencyError
 from .fourier import forward_fft, inverse_fft
-from .tokenizer import Codebook, nearest_entry_indices, patchify, unpatchify
+from .tokenizer import (
+    CHANNEL_NORM_EPS,
+    Codebook,
+    nearest_entry_indices,
+    patchify,
+    unpatchify,
+)
 
 LN_EPS = 1e-5
 # Bytes of float64 attention scores per block (one 256^2 head).
@@ -79,12 +85,12 @@ def affine_vjp(cache, g, needs=(True, True, True)):
             _flat2(g).sum(axis=0) if needs[2] else None)
 
 
-def layer_norm_forward(x, gamma, beta, eps=LN_EPS):
+def layer_norm_forward(x, gamma, beta):
     """Row-wise layer norm with affine."""
     mu = x.mean(axis=-1, keepdims=True)
     xhat = x - mu
     var = np.mean(xhat ** 2, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     return gamma * xhat + beta, (xhat, inv, gamma)
 
@@ -101,11 +107,11 @@ def layer_norm_vjp(cache, g, needs=(True, True, True)):
             _flat2(g).sum(axis=0) if needs[2] else None)
 
 
-def channel_norm_forward(x, eps):
+def channel_norm_forward(x):
     """Whole-array normalization to zero mean, unit std (no affine)."""
     mu = x.mean()
     var = np.var(x)
-    inv = 1.0 / math.sqrt(var + eps)
+    inv = 1.0 / math.sqrt(var + CHANNEL_NORM_EPS)
     z = (x - mu) * inv
     return z, (z, inv)
 
@@ -490,14 +496,13 @@ def t_affine(tape: Tape, x: int, w: int, b: int, name="affine") -> int:
 
 
 def t_layer_norm(tape: Tape, x: int, gamma: int, beta: int,
-                 eps=LN_EPS, name="layer_norm") -> int:
+                 name="layer_norm") -> int:
     return tape.apply(name, layer_norm_forward, layer_norm_vjp,
-                      (x, gamma, beta), eps=eps)
+                      (x, gamma, beta))
 
 
-def t_channel_norm(tape: Tape, x: int, eps: float, name="channel_norm") -> int:
-    return tape.apply(name, channel_norm_forward, channel_norm_vjp, (x,),
-                      eps=eps)
+def t_channel_norm(tape: Tape, x: int, name="channel_norm") -> int:
+    return tape.apply(name, channel_norm_forward, channel_norm_vjp, (x,))
 
 
 def t_patchify(tape: Tape, x: int, p: int, name="patchify") -> int:

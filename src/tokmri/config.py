@@ -75,7 +75,7 @@ class AcquisitionSection:
     accelerations: list[int] = field(default_factory=lambda: [4, 8])
     T: int = 4
     lines_per_step: int | None = None
-    policies: list[str] = field(default_factory=lambda: list(POLICIES))
+    policies: list[str] = field(default_factory=lambda: [*POLICIES, "oracle"])
     noise_sigma: float = 0.0
     noise_seed: int = 0
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
@@ -211,9 +211,9 @@ class ExperimentConfig:
                     f"acquisition.{key} holds a duplicate entry: {values}")
         _built("data", d.phantom)
         _built("train", lambda: self.train.corruption(acq.rho_c))
-        for policy in acq.policies:
-            # the oracle ignores the acceleration and runs once
-            for R in [1] if policy == "oracle" else acq.accelerations:
+        # the oracle reconstructs the fully sampled image: no trajectory
+        for policy in (p for p in acq.policies if p != "oracle"):
+            for R in acq.accelerations:
                 _built("acquisition",
                        lambda: acq.trajectory(policy, R).plan(d.size))
         _built("bench",

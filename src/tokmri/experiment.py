@@ -26,7 +26,7 @@ from .model import (
     train_model,
 )
 from .phantoms import make_splits, random_ellipse_phantom
-from .policies import AcquisitionTrajectory, run_acquisition
+from .policies import AcquisitionTrajectory, oracle_reconstruct, run_acquisition
 from .storage import (
     atomic_write_text,
     is_int,
@@ -339,23 +339,20 @@ def cmd_run(cfg: ExperimentConfig) -> RunResult:
     # accumulators keyed by (policy, R)
     group_rows: dict[tuple, list[dict]] = {}
 
-    def eval_one(image_id, img, traj):
-        return evaluate(np.abs(img), np.abs(traj.reconstruction),
+    def eval_one(img, recon):
+        return evaluate(np.abs(img), np.abs(recon),
                         psnr_cap=cfg.metrics.psnr_cap)
 
     for policy in acq.policies:
         if policy == "oracle":
-            for idx, (image_id, img) in enumerate(images):
-                traj = run_acquisition(
-                    img, acq.trajectory("oracle", R=1, seed=_traj_seed(0, idx)),
-                    model, tokenizer)
-                m = eval_one(image_id, img, traj)
+            for image_id, img in images:
+                recon = oracle_reconstruct(img, tokenizer)
                 row = {"image_id": image_id, "policy": "oracle", "R": None,
-                       "T": 0, "seed": None, **m}
+                       "T": 0, "seed": None, **eval_one(img, recon)}
                 metric_rows.append(row)
                 group_rows.setdefault(("oracle", None), []).append(row)
                 save_ctns(res_dir / "recon" / "oracle" / f"{image_id}.ctns",
-                          traj.reconstruction)
+                          recon)
             continue
         for R in acq.accelerations:
             for seed in acq.seeds:
@@ -364,9 +361,9 @@ def cmd_run(cfg: ExperimentConfig) -> RunResult:
                     traj = run_acquisition(
                         img, acq.trajectory(policy, R, _traj_seed(seed, idx)),
                         model, tokenizer)
-                    m = eval_one(image_id, img, traj)
                     row = {"image_id": image_id, "policy": policy, "R": R,
-                           "T": acq.T, "seed": seed, **m}
+                           "T": acq.T, "seed": seed,
+                           **eval_one(img, traj.reconstruction)}
                     metric_rows.append(row)
                     group_rows.setdefault((policy, R), []).append(row)
                     tdir = res_dir / "trajectories" / tag

@@ -21,21 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tape
 from .errors import InvalidInputError
 from .model import LatentTransformer, build_forward
-from .tokenizer import CHANNEL_NORM_EPS, ChannelStats, Tokenizer, channel_stats
-
-
-@dataclass(frozen=True)
-class KSpaceGradient:
-    """d(total entropy)/d(k-space) and its magnitude map.
-
-    `grad` packs the independent partials w.r.t. the real and imaginary
-    parts of each entry as g_re + 1j*g_im; `magnitude` is the element-wise
-    complex modulus.  Entries at unsampled positions are reported too; line
-    selection is responsible for excluding already-acquired lines.
-    """
-
-    grad: np.ndarray       # (H, W) complex128
-    magnitude: np.ndarray  # (H, W) float64
+from .tokenizer import ChannelStats, Tokenizer, channel_stats
 
 
 @dataclass
@@ -53,7 +39,6 @@ class PipelineState:
     logits_im: np.ndarray
     stats_re: ChannelStats
     stats_im: ChannelStats
-    grid: tuple[int, int]
     loss: float
 
     def frozen_offsets(self) -> tuple[np.ndarray, np.ndarray]:
@@ -77,9 +62,6 @@ def pipeline_forward(
     finite-difference oracle perturbs exactly this path.
     """
     ksp = np.asarray(ksp, dtype=np.complex128)
-    p = tokenizer.p
-    gh, gw = ksp.shape[0] // p, ksp.shape[1] // p
-
     tape = Tape()
     y_id = tape.source(ksp, "y")
     x_id = ad.t_ifft2c(tape, y_id)
@@ -91,8 +73,8 @@ def pipeline_forward(
     lat_ids = []
     q_ids = []
     for k, ch_id in enumerate(ch_ids):
-        z_id = ad.t_channel_norm(tape, ch_id, eps=CHANNEL_NORM_EPS)
-        patches_id = ad.t_patchify(tape, z_id, p)
+        z_id = ad.t_channel_norm(tape, ch_id)
+        patches_id = ad.t_patchify(tape, z_id, tokenizer.p)
         lat_id = ad.t_affine(tape, patches_id, enc_wt, enc_b, name="encode")
         lat_ids.append(lat_id)
         if frozen_offsets is None:
@@ -119,24 +101,26 @@ def pipeline_forward(
         logits_im=tape.val(lim),
         stats_re=channel_stats(tape.val(ch_ids[0])),
         stats_im=channel_stats(tape.val(ch_ids[1])),
-        grid=(gh, gw),
         loss=float(tape.val(loss_id)),
     )
 
 
 def backward_to_kspace(state: PipelineState,
-                       check_replay: bool = False) -> KSpaceGradient:
-    """Reverse sweep to the measured k-space.
+                       check_replay: bool = False) -> np.ndarray:
+    """d(total entropy)/d(k-space), an (H, W) complex128 array.
 
-    `check_replay` re-executes the recorded nodes first and raises
-    TapeConsistencyError when any node fails to reproduce its cached output.
+    Each entry packs the independent partials w.r.t. the real and imaginary
+    parts of that k-space entry as g_re + 1j*g_im.  Entries at unsampled
+    positions are reported too; line selection is responsible for excluding
+    already-acquired lines.  `check_replay` re-executes the recorded nodes
+    first and raises TapeConsistencyError when any node fails to reproduce
+    its cached output.
     """
     if check_replay:
         state.tape.replay_check()
     grads = state.tape.backward(state.loss_id, seed=np.float64(1.0),
                                 wrt=(state.y_id,))
-    g_y = np.asarray(grads[state.y_id], dtype=np.complex128)
-    return KSpaceGradient(grad=g_y, magnitude=np.abs(g_y))
+    return np.asarray(grads[state.y_id], dtype=np.complex128)
 
 
 def line_gradient_scores(magnitude: np.ndarray) -> np.ndarray:

@@ -51,8 +51,6 @@ from .tokenizer import (
     normalize_channel,
 )
 
-FUSE_EPS = 1e-5
-
 
 @dataclass(frozen=True)
 class TransformerConfig:
@@ -188,7 +186,7 @@ def build_forward(tape: Tape, pids: dict[str, int], cfg: TransformerConfig,
     """
     summed = ad.t_add(tape, q_re_id, q_im_id, name="stream_sum")
     fused = ad.t_layer_norm(tape, summed, pids["fuse.gamma"],
-                            pids["fuse.beta"], eps=FUSE_EPS, name="fuse")
+                            pids["fuse.beta"], name="fuse")
     x = ad.t_affine(tape, fused, pids["input.w"], pids["input.b"],
                     name="input_proj")
     x = ad.t_add(tape, x, pids["pos"], name="pos_add")
@@ -497,28 +495,21 @@ def train_model(
     targets = [tokenize_image(tokenizer, img) for img in images]
     seq_len = targets[0].q_re.L
 
-    if resume is not None:
-        model = resume.model
-        adam = resume.adam
-        trace = list(resume.trace)
-        start_epoch = resume.epoch
-        rng = np.random.default_rng(seed)
-        if resume.rng_state is not None:
-            rng.bit_generator.state = resume.rng_state
-    else:
+    if resume is None:
         model = LatentTransformer.init(
             cfg, tokenizer.D, seq_len, tokenizer.codebook.K, seed=seed
         )
-        adam = AdamState(
+        resume = TrainState(model=model, epoch=0, adam=AdamState(
             m={k: np.zeros_like(v) for k, v in model.params.items()},
             v={k: np.zeros_like(v) for k, v in model.params.items()},
-        )
-        trace = []
-        start_epoch = 0
-        rng = np.random.default_rng(seed)
+        ))
+    model, adam, trace = resume.model, resume.adam, list(resume.trace)
+    rng = np.random.default_rng(seed)
+    if resume.rng_state is not None:
+        rng.bit_generator.state = resume.rng_state
 
-    state = TrainState(model=model, adam=adam, epoch=start_epoch, trace=trace)
-    for epoch in range(start_epoch, epochs):
+    state = TrainState(model=model, adam=adam, epoch=resume.epoch, trace=trace)
+    for epoch in range(resume.epoch, epochs):
         order = rng.permutation(len(images))
         step = 0
         for lo in range(0, len(order), batch_size):

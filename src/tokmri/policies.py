@@ -11,9 +11,9 @@ are provided:
 * ``geo``     - rank lines by the summed magnitude of the gradient of the
   total token entropy w.r.t. the measured k-space.
 
-``oracle`` short-circuits the loop entirely: it encodes and decodes the
-fully sampled ground truth, bounding what the discrete latent pipeline can
-achieve.
+``oracle_reconstruct`` is no policy: it encodes and decodes the fully
+sampled ground truth, bounding what the discrete latent pipeline can
+achieve, and acquires nothing.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .metrics import nmse
 from .model import LatentTransformer, predicted_tokens, reconstruct, tokenize_image
 from .tokenizer import Tokenizer
 
-POLICIES = ("random", "les", "geo", "oracle")
+POLICIES = ("random", "les", "geo")
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,10 @@ class AcquisitionConfig:
 
     def plan(self, num_lines: int) -> tuple[SamplingMask, int, int]:
         """The centre mask, the lines to acquire beyond it and the lines per
-        step on `num_lines`-line images; the oracle acquires no line."""
+        step on `num_lines`-line images."""
         center = make_center_mask(num_lines, self.rho_c)
-        budget = 0 if self.policy == "oracle" else min(
-            sampling_budget(num_lines, self.R, self.rho_c),
-            num_lines - center.nnz,
-        )
+        budget = min(sampling_budget(num_lines, self.R, self.rho_c),
+                     num_lines - center.nnz)
         per_step = (self.lines_per_step
                     or max(1, math.ceil(budget / max(self.T, 1))))
         if self.T > 0 and per_step * self.T < budget:
@@ -101,7 +99,6 @@ class AcquisitionTrajectory:
     final_mask: SamplingMask | None = None
     final_nmse: float | None = None
     reconstruction: np.ndarray | None = None
-    budget: int = 0
 
 
 @dataclass(frozen=True)
@@ -239,18 +236,16 @@ def run_acquisition(
     """
     img = np.asarray(ground_truth, dtype=np.complex128)
     H, W = img.shape
-    num_lines = H
+    grid = (H // tokenizer.p, W // tokenizer.p)
     ref_mag = np.abs(img)
 
-    mask, remaining, per_step = cfg.plan(num_lines)
-    traj = AcquisitionTrajectory(policy=cfg.policy, budget=remaining)
-    if cfg.policy == "oracle":
-        recon = oracle_reconstruct(img, tokenizer)
-        traj.final_mask = mask
-        traj.reconstruction = recon
-        traj.final_nmse = nmse(ref_mag, np.abs(recon))
-        return traj
+    def predict(ksp):
+        """The logits and channel statistics of the zero-filled `ksp`."""
+        zf = tokenize_image(tokenizer, zero_fill(ksp))
+        return model.predict(zf.q_re, zf.q_im), (zf.stats_re, zf.stats_im)
 
+    mask, remaining, per_step = cfg.plan(H)
+    traj = AcquisitionTrajectory(policy=cfg.policy)
     rng = np.random.default_rng(cfg.seed)
     noise = NoiseSpec(cfg.noise.sigma,
                       seed=int(np.uint64(cfg.noise.seed) ^ np.uint64(cfg.seed)))
@@ -266,18 +261,14 @@ def run_acquisition(
 
         if cfg.policy == "geo":
             state = pipeline_forward(ksp, tokenizer, model)
-            logits_re, logits_im = state.logits_re, state.logits_im
-            stats_re, stats_im = state.stats_re, state.stats_im
-            grad = backward_to_kspace(state)
-            scores = line_gradient_scores(grad.magnitude)
+            logits = (state.logits_re, state.logits_im)
+            stats = (state.stats_re, state.stats_im)
+            scores = line_gradient_scores(np.abs(backward_to_kspace(state)))
             lines = geo_select(scores, mask, n_t)
         else:
-            zf = tokenize_image(tokenizer, zero_fill(ksp))
-            logits_re, logits_im = model.predict(zf.q_re, zf.q_im)
-            stats_re, stats_im = zf.stats_re, zf.stats_im
+            logits, stats = predict(ksp)
             if cfg.policy == "les":
-                emap = entropy_map(logits_re, logits_im, zf.q_re.grid_h,
-                                   zf.q_re.grid_w, H, W)
+                emap = entropy_map(*logits, *grid, H, W)
                 scores = emap.U_kspace.mean(axis=1)
                 lines = les_select(emap.U_kspace, mask, n_t)
             else:
@@ -285,10 +276,7 @@ def run_acquisition(
                 lines = random_select(mask, n_t, rng)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
 
-        recon_t = _reconstruct_from_logits(
-            tokenizer, logits_re, logits_im, stats_re, stats_im,
-            (H // tokenizer.p, W // tokenizer.p),
-        )
+        recon_t = _reconstruct_from_logits(tokenizer, *logits, *stats, grid)
         mask = mask.with_lines(lines)
         remaining -= len(lines)
         traj.steps.append(StepRecord(
@@ -300,13 +288,8 @@ def run_acquisition(
             time_ms=elapsed_ms,
         ))
 
-    ksp = mask.apply(full_ksp)
-    zf = tokenize_image(tokenizer, zero_fill(ksp))
-    logits_re, logits_im = model.predict(zf.q_re, zf.q_im)
-    recon = _reconstruct_from_logits(
-        tokenizer, logits_re, logits_im, zf.stats_re, zf.stats_im,
-        (zf.q_re.grid_h, zf.q_re.grid_w),
-    )
+    logits, stats = predict(mask.apply(full_ksp))
+    recon = _reconstruct_from_logits(tokenizer, *logits, *stats, grid)
     traj.final_mask = mask
     traj.reconstruction = recon
     traj.final_nmse = nmse(ref_mag, np.abs(recon))

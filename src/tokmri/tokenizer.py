@@ -367,8 +367,10 @@ def train_tokenizer(
     dec_b = mean
 
     latents = centered @ comps.T
-    centroids, assign, trace = kmeans(latents, K, iters=iters, seed=seed)
+    centroids, _, trace = kmeans(latents, K, iters=iters, seed=seed)
     centroids = _dedupe_centroids(centroids, latents, rng=np.random.default_rng(seed))
+    # kmeans' own assignment predates its last update and the dedupe
+    assign = nearest_entry_indices(latents, centroids)
 
     tok = Tokenizer(
         p=p, enc_w=enc_w, enc_b=enc_b, dec_w=dec_w, dec_b=dec_b,

@@ -129,7 +129,7 @@ def test_criterion_04_geo_gradient_finite_differences(toy_setup):
         ym = ksp.copy()
         ym[r, c] -= h * part
         fd = (loss_at(yp) - loss_at(ym)) / (2 * h)
-        an = grad.grad[r, c].real if part == 1.0 else grad.grad[r, c].imag
+        an = grad[r, c].real if part == 1.0 else grad[r, c].imag
         rel = abs(fd - an) / max(abs(fd), abs(an))
         worst = max(worst, rel)
         assert rel < 1e-4, (r, c, part, fd, an)

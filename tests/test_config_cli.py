@@ -18,10 +18,12 @@ from tokmri.experiment import (
     cmd_gen_data,
     cmd_run,
     cmd_train,
+    load_artifacts,
     load_checkpoint,
     load_split,
 )
 from tokmri.model import TransformerConfig
+from tokmri.policies import oracle_reconstruct
 from tokmri.storage import load_ctns
 
 
@@ -275,6 +277,16 @@ class TestRun:
         assert len(recs) == 5 * 3  # per policy/R/seed/image
         recon = list((res / "recon").rglob("*.ctns"))
         assert len(recon) == 5 * 3 + 5
+
+    def test_oracle_recon_is_oracle_reconstruct(self, mini_run):
+        cfg, *_ = mini_run
+        tok, _ = load_artifacts(cfg)
+        recon = Path(cfg.out_dir) / "results" / "recon" / "oracle"
+        images = load_split(cfg, "test")
+        assert len(images) == 5
+        for image_id, img in images:
+            assert (load_ctns(recon / f"{image_id}.ctns").tobytes()
+                    == oracle_reconstruct(img, tok).tobytes())
 
     def test_trajectory_record_schema(self, mini_run):
         cfg, _, _, run = mini_run

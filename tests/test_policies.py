@@ -251,12 +251,11 @@ class TestPlan:
                             if T > 0:
                                 assert per_step == want[2]
 
-    def test_oracle_acquires_no_line(self):
-        acq = AcquisitionConfig(R=2, rho_c=0.25, T=1, lines_per_step=1,
-                                policy="oracle")
-        center, budget, _ = acq.plan(16)
-        assert budget == 0
-        assert np.array_equal(center.flags, make_center_mask(16, 0.25).flags)
+    def test_oracle_is_no_policy(self):
+        # the oracle is `oracle_reconstruct`; as a trajectory setting it
+        # would otherwise run as random sampling
+        with pytest.raises(ConfigError, match="'oracle'"):
+            AcquisitionConfig(policy="oracle")
 
 
 class TestRunAcquisition:
@@ -367,13 +366,6 @@ class TestRunAcquisition:
             tok, logits_re, logits_im, zf.stats_re, zf.stats_im,
             (zf.q_re.grid_h, zf.q_re.grid_w))
         assert np.array_equal(traj.reconstruction, recon)
-
-    def test_oracle_policy_ignores_mask_machinery(self, toy_setup):
-        img, tok, model = self._setup(toy_setup)
-        cfg = AcquisitionConfig(R=2, rho_c=0.25, T=3, policy="oracle", seed=5)
-        traj = run_acquisition(img, cfg, model, tok)
-        assert traj.steps == []
-        assert np.array_equal(traj.reconstruction, oracle_reconstruct(img, tok))
 
 
 class TestOracleReconstruct:

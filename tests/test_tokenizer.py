@@ -410,6 +410,17 @@ class TestTrainTokenizer:
         trace = report["kmeans_trace"]
         assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
 
+    def test_quant_distortion_is_the_kept_codebooks(self):
+        # two Lloyd rounds stop short of convergence, so the last update
+        # moves the centroids after kmeans' final assignment
+        rng = np.random.default_rng(16)
+        dataset = [rng.standard_normal((16, 16)) for _ in range(6)]
+        tok, report = train_tokenizer(dataset, K=8, D=4, p=4, iters=2, seed=0)
+        lat = np.concatenate([tok.encode(c).vectors for c in dataset])
+        d2 = np.sum((lat[:, None, :] - tok.codebook.entries[None]) ** 2, axis=2)
+        want = float(np.mean(d2.min(axis=1)))
+        assert abs(report["quant_distortion"] - want) <= 1e-12 * want
+
     def test_rank_d_recon_bound(self):
         # affine round trip must equal the best rank-D approximation error
         rng = np.random.default_rng(13)
