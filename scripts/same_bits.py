@@ -1,12 +1,13 @@
 """Digests of every deterministic output of the bench make-ups.
 
 For each of perfbench's `train`, `run` and `scan` make-ups this generates
-the data and trains (`data`, `artifacts`), runs random, LES, GEO and the
-oracle at acquisition noise 0 and 0.05 (`results`), and runs three test
-images' one-line-per-step random, LES and GEO trajectories at x8
-(`trajectories`). It prints one `name sha256` line per group. Two runs print
-the same lines exactly when their outputs are byte-identical, so comparing
-a change with its parent is
+the data and trains (`data`, `artifacts`, and `report`: the training report,
+which holds the tokenizer fit's `recon_mse` and `quant_distortion` and no
+timings), runs random, LES, GEO and the oracle at acquisition noise 0 and
+0.05 (`results`), and runs three test images' one-line-per-step random, LES
+and GEO trajectories at x8 (`trajectories`). It prints one `name sha256`
+line per group. Two runs print the same lines exactly when their outputs
+are byte-identical, so comparing a change with its parent is
 
     python3 scripts/same_bits.py --out /tmp/new > new.txt
     python3 scripts/same_bits.py --src /path/to/parent/src --out /tmp/old > old.txt
@@ -86,6 +87,8 @@ def main(argv=None) -> int:
         cmd_train(cfg)
         for folder in ("data", "artifacts"):
             print(f"{name}/{folder}", output_digest(out, folder), flush=True)
+        report = (out / "artifacts" / "train_report.json").read_bytes()
+        print(f"{name}/report", hashlib.sha256(report).hexdigest(), flush=True)
 
         cfg.acquisition.policies = [*POLICIES, "oracle"]
         for sigma in NOISE:

@@ -209,6 +209,10 @@ class ExperimentConfig:
                 # metrics row twice and weighting it twice in the summary
                 raise ConfigError(
                     f"acquisition.{key} holds a duplicate entry: {values}")
+        for policy in acq.policies:
+            if policy not in (*POLICIES, "oracle"):
+                raise ConfigError(f"acquisition.policies holds unknown policy "
+                                  f"{policy!r}; known: {(*POLICIES, 'oracle')}")
         _built("data", d.phantom)
         _built("train", lambda: self.train.corruption(acq.rho_c))
         # the oracle reconstructs the fully sampled image: no trajectory

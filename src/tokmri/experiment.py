@@ -221,12 +221,9 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
                    f"{cfg.data.size}")
 
     # tokenizer sees per-image-normalized channels, like the encoder will
-    channels = []
-    for img in images:
-        for ch in (img.real, img.imag):
-            channels.append(normalize_channel(ch, channel_stats(ch)))
     tok, tok_report = train_tokenizer(
-        channels,
+        (normalize_channel(ch, channel_stats(ch))
+         for img in images for ch in (img.real, img.imag)),
         K=cfg.tokenizer.K,
         D=cfg.tokenizer.D,
         p=cfg.tokenizer.p,

@@ -332,22 +332,16 @@ def train_tokenizer(
 ) -> tuple[Tokenizer, dict]:
     """Fit the affine encoder/decoder and the codebook.
 
-    `dataset` is a sequence of real 2D channels (already normalized by the
-    caller when that is desired).  The encoder/decoder solve the rank-D
-    least-squares patch autoencoding problem (PCA); the codebook is k-means
-    over the encoded training latents.
+    `dataset` is an iterable of real 2D channels (already normalized by the
+    caller when that is desired), read once.  The encoder/decoder solve the
+    rank-D least-squares patch autoencoding problem (PCA); the codebook is
+    k-means over the encoded training latents.
     """
-    channels = [np.asarray(c, dtype=np.float64) for c in dataset]
-    if not channels:
+    blocks = [patchify(c, p) for c in dataset]
+    if not blocks:
         raise ConfigError("training dataset is empty")
-    # one (N, p²) matrix filled channel by channel; patchify rejects a channel
-    # that p does not tile before any of its rows is written
-    patches = np.empty((sum(c.size // (p * p) for c in channels), p * p))
-    row = 0
-    for c in channels:
-        block = patchify(c, p)
-        patches[row:row + block.shape[0]] = block
-        row += block.shape[0]
+    patches = np.concatenate(blocks)
+    del blocks
     if K > patches.shape[0]:
         raise ConfigError(f"K={K} exceeds the {patches.shape[0]} training patches")
     if D > p * p:
@@ -358,8 +352,12 @@ def train_tokenizer(
     if float(np.max(np.abs(centered))) < 1e-12:
         raise DegenerateDataError("all training patches are identical")
 
-    # Best rank-D affine autoencoder: principal components of the patches.
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    # Best rank-D affine autoencoder: principal components of the patches,
+    # the right singular vectors of `centered` taken from its R factor
+    # (Chan's R-SVD). This is dgesdd's own path for M >= 11·p²/6 rows, minus
+    # forming the M×p² left factor U.
+    _, _, vt = np.linalg.svd(np.linalg.qr(centered, mode="r"),
+                             full_matrices=False)
     comps = vt[:D]  # (D, p*p)
     enc_w = comps
     enc_b = -comps @ mean
@@ -367,6 +365,7 @@ def train_tokenizer(
     dec_b = mean
 
     latents = centered @ comps.T
+    del centered
     centroids, _, trace = kmeans(latents, K, iters=iters, seed=seed)
     centroids = _dedupe_centroids(centroids, latents, rng=np.random.default_rng(seed))
     # kmeans' own assignment predates its last update and the dedupe

@@ -135,6 +135,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    def test_unknown_policy_rejected_without_accelerations(self):
+        # no acceleration plans a trajectory, so only the name check sees it
+        with pytest.raises(ConfigError, match="acquisition.policies.*'greedy'"):
+            ExperimentConfig.from_dict({"acquisition": {
+                "policies": ["greedy", "oracle"], "accelerations": []}})
+
     @pytest.mark.parametrize("text", ["", "# nothing set\n"])
     def test_empty_document_loads_defaults(self, tmp_path, text):
         path = tmp_path / "empty.yaml"
@@ -435,6 +441,8 @@ class TestCLI:
         ("acquisition:\n  accelerations: [4, 8, 4]\n",
          "acquisition.accelerations"),
         ("acquisition:\n  policies: [les, random, les]\n",
+         "acquisition.policies"),
+        ("acquisition:\n  policies: [greedy, oracle]\n  accelerations: []\n",
          "acquisition.policies"),
         ("data:\n  master_seed: -1\n", "data.master_seed"),
         ("train:\n  seed: -1\n", "train.seed"),

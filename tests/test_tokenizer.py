@@ -437,6 +437,51 @@ class TestTrainTokenizer:
         with pytest.raises(ConfigError):
             train_tokenizer([], K=4, D=2, p=4)
 
+    def test_empty_generator(self):
+        with pytest.raises(ConfigError, match="empty"):
+            train_tokenizer((c for c in []), K=4, D=2, p=4)
+
+    def test_generator_fits_like_a_list(self):
+        rng = np.random.default_rng(17)
+        dataset = [rng.standard_normal((16, 16)) for _ in range(12)]
+        tok, report = train_tokenizer(dataset, K=8, D=4, p=4, seed=0)
+        tok_g, report_g = train_tokenizer((c for c in dataset), K=8, D=4,
+                                          p=4, seed=0)
+        for name in ("enc_w", "enc_b", "dec_w", "dec_b"):
+            assert np.array_equal(getattr(tok_g, name), getattr(tok, name))
+        assert np.array_equal(tok_g.codebook.entries, tok.codebook.entries)
+        for key in ("n_patches", "recon_mse", "quant_distortion"):
+            assert report_g[key] == report[key]
+
+    @pytest.mark.parametrize("p, rows", [(4, 30), (4, 400), (8, 118), (8, 1600)])
+    def test_principal_directions_are_the_full_svds(self, p, rows):
+        # At M >= 11·p²/6 rows LAPACK's dgesdd factors M×p² as QR and then
+        # takes the SVD of R, so the SVD of R that the fit runs gives the
+        # same bits. A LAPACK build that skips the QR path fails this.
+        rng = np.random.default_rng(rows)
+        dataset = [rng.standard_normal((p, p * rows // 2)) for _ in range(2)]
+        D = p * p // 2
+        tok, _ = train_tokenizer(dataset, K=4, D=D, p=p, seed=0)
+        patches = np.concatenate([patchify(c, p) for c in dataset])
+        centered = patches - patches.mean(axis=0)
+        vt = np.linalg.svd(centered, full_matrices=False)[2]
+        assert np.array_equal(tok.enc_w, vt[:D])
+
+    def test_traced_peak_of_a_streamed_fit(self):
+        # the patch matrix, its centred copy and the QR's working copy
+        rng = np.random.default_rng(18)
+        n, size, p = 400, 64, 8
+        matrix_bytes = n * size * size * 8
+        tracemalloc.start()
+        try:
+            train_tokenizer((rng.standard_normal((size, size))
+                             for _ in range(n)), K=256, D=16, p=p, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * matrix_bytes, (
+            f"traced peak {peak / matrix_bytes:.2f}× the patch matrix")
+
     def test_k_exceeds_patches(self):
         rng = np.random.default_rng(14)
         with pytest.raises(ConfigError):
