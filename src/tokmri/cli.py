@@ -39,12 +39,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--accel", action="append", type=int, metavar="INT",
                    help="acceleration factor (repeatable)")
     p.add_argument("--steps", type=int, metavar="INT",
-                   help="number of active sampling steps")
+                   help="active sampling steps per trajectory (acquisition.T)")
 
     p = sub.add_parser("bench", help="measure per-step policy latency")
     common(p)
     p.add_argument("--steps", type=int, metavar="INT",
-                   help="steps per trajectory during benchmarking")
+                   help="active sampling steps per trajectory (acquisition.T)")
 
     p = sub.add_parser("show-config", help="print the effective configuration")
     p.add_argument("--config", metavar="PATH", help="YAML experiment config")
@@ -64,8 +64,7 @@ def load_config(args) -> ExperimentConfig:
     if getattr(args, "accel", None):
         cfg.acquisition.accelerations = list(args.accel)
     if getattr(args, "steps", None) is not None:
-        section = cfg.bench if args.command == "bench" else cfg.acquisition
-        section.T = args.steps
+        cfg.acquisition.T = args.steps
     cfg.validate()
     return cfg
 

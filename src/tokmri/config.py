@@ -80,15 +80,12 @@ class AcquisitionSection:
     noise_seed: int = 0
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
 
-    def trajectory(self, policy: str, R: int, seed: int = 0,
-                   T: int | None = None) -> AcquisitionConfig:
-        """Settings of one trajectory.  A given `T` (the bench's) replaces
-        the step count and leaves the lines per step to the budget."""
-        steps = ({"T": self.T, "lines_per_step": self.lines_per_step}
-                 if T is None else {"T": T})
+    def trajectory(self, policy: str, R: int, seed: int = 0) -> AcquisitionConfig:
+        """Settings of one trajectory."""
         return AcquisitionConfig(
-            R=R, rho_c=self.rho_c, policy=policy, seed=seed,
-            noise=NoiseSpec(self.noise_sigma, seed=self.noise_seed), **steps)
+            R=R, rho_c=self.rho_c, T=self.T, lines_per_step=self.lines_per_step,
+            policy=policy, seed=seed,
+            noise=NoiseSpec(self.noise_sigma, seed=self.noise_seed))
 
 
 @dataclass
@@ -98,8 +95,6 @@ class MetricsSection:
 
 @dataclass
 class BenchSection:
-    accel: int = 8
-    T: int = 8
     min_steps: int = 20
 
 
@@ -168,7 +163,7 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
     def validate(self) -> None:
-        d, t, acq, bench = self.data, self.tokenizer, self.acquisition, self.bench
+        d, t, acq = self.data, self.tokenizer, self.acquisition
         for section, key in (("data", "size"), ("tokenizer", "K"),
                              ("tokenizer", "D"), ("tokenizer", "p"),
                              ("tokenizer", "kmeans_iters"),
@@ -184,14 +179,12 @@ class ExperimentConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(
                     f"{section}.{key} must be finite and > 0, got {value}")
+        if not isinstance(self.bench.min_steps, int) or self.bench.min_steps < 1:
+            raise ConfigError("bench.min_steps must be an integer >= 1")
         if d.size % t.p:
             raise ConfigError(
                 f"patch size {t.p} does not divide image size {d.size}"
             )
-        for key in ("accel", "T", "min_steps"):
-            value = getattr(bench, key)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"bench.{key} must be an integer >= 1")
         if not acq.seeds:
             raise ConfigError("at least one acquisition seed is required")
         for key, seed in [("data.master_seed", d.master_seed),
@@ -215,13 +208,10 @@ class ExperimentConfig:
                                   f"{policy!r}; known: {(*POLICIES, 'oracle')}")
         _built("data", d.phantom)
         _built("train", lambda: self.train.corruption(acq.rho_c))
-        # the oracle reconstructs the fully sampled image: no trajectory
-        for policy in (p for p in acq.policies if p != "oracle"):
-            for R in acq.accelerations:
-                _built("acquisition",
-                       lambda: acq.trajectory(policy, R).plan(d.size))
-        _built("bench",
-               lambda: acq.trajectory("les", bench.accel, T=bench.T).plan(d.size))
+        # the plan does not depend on the policy; `bench` runs LES and GEO
+        # whatever `acquisition.policies` holds
+        for R in acq.accelerations:
+            _built("acquisition", lambda: acq.trajectory("les", R).plan(d.size))
 
 
 def _built(section: str, build):

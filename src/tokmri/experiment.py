@@ -8,14 +8,13 @@ and seed produces byte-identical outputs (bench wall-clock fields aside).
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import AcquisitionSection, ExperimentConfig
 from .errors import ConfigError, InvalidInputError
 from .metrics import evaluate
 from .model import (
@@ -270,14 +269,11 @@ def load_artifacts(cfg: ExperimentConfig) -> tuple[Tokenizer, LatentTransformer]
     paths = _artifact_paths(cfg)
     if not paths["tokenizer"].exists():
         raise ConfigError(f"missing trained tokenizer: {paths['tokenizer']}")
-    model_manifest = paths["model"] / "manifest.json"
-    if not model_manifest.exists():
-        raise ConfigError(f"missing trained model: {model_manifest}")
     tokenizer = Tokenizer.load(paths["tokenizer"])
     manifest = read_model_manifest(paths["model"])
     # the model's tensor shapes follow from these, checked by its `load`
     _check_fit(manifest, tokenizer.codebook.K, tokenizer.D, tokenizer.p,
-               cfg.data.size, f"{model_manifest} does not fit "
+               cfg.data.size, f"{paths['model'] / 'manifest.json'} does not fit "
                f"{paths['tokenizer']} at data.size {cfg.data.size}")
     return tokenizer, LatentTransformer.load(paths["model"], manifest)
 
@@ -305,8 +301,15 @@ class RunResult:
     summaries: list[dict] = field(default_factory=list)
 
 
-def _traj_seed(seed: int, image_index: int) -> int:
-    return int(seed) * 1_000_003 + image_index
+def _trajectories(acq: AcquisitionSection, images, policy: str):
+    """`policy`'s trajectories, the ones `cmd_run` makes and `cmd_bench`
+    times: for each acceleration, seed and test image, in that order,
+    `(R, seed, image_id, image, settings)`."""
+    for R in acq.accelerations:
+        for seed in acq.seeds:
+            for idx, (image_id, img) in enumerate(images):
+                yield (R, seed, image_id, img, acq.trajectory(
+                    policy, R, seed=int(seed) * 1_000_003 + idx))
 
 
 def _trajectory_records(policy: str, traj: AcquisitionTrajectory) -> str:
@@ -351,35 +354,32 @@ def cmd_run(cfg: ExperimentConfig) -> RunResult:
                 save_ctns(res_dir / "recon" / "oracle" / f"{image_id}.ctns",
                           recon)
             continue
-        for R in acq.accelerations:
-            for seed in acq.seeds:
-                tag = f"{policy}_R{R}_seed{seed}"
-                for idx, (image_id, img) in enumerate(images):
-                    traj = run_acquisition(
-                        img, acq.trajectory(policy, R, _traj_seed(seed, idx)),
-                        model, tokenizer)
-                    row = {"image_id": image_id, "policy": policy, "R": R,
-                           "T": acq.T, "seed": seed,
-                           **eval_one(img, traj.reconstruction)}
-                    metric_rows.append(row)
-                    group_rows.setdefault((policy, R), []).append(row)
-                    tdir = res_dir / "trajectories" / tag
-                    atomic_write_text(tdir / f"{image_id}.jsonl",
-                                      _trajectory_records(policy, traj))
-                    save_mask(tdir / f"{image_id}_mask.json", traj.final_mask)
-                    save_ctns(res_dir / "recon" / tag / f"{image_id}.ctns",
-                              traj.reconstruction)
-                    for rec in traj.steps:
-                        curve_rows.append({
-                            "policy": policy, "R": R, "seed": seed,
-                            "image_id": image_id, "steps_done": rec.step - 1,
-                            "nmse": rec.nmse_before,
-                        })
-                    curve_rows.append({
-                        "policy": policy, "R": R, "seed": seed,
-                        "image_id": image_id, "steps_done": len(traj.steps),
-                        "nmse": traj.final_nmse,
-                    })
+        for R, seed, image_id, img, settings in _trajectories(acq, images,
+                                                              policy):
+            tag = f"{policy}_R{R}_seed{seed}"
+            traj = run_acquisition(img, settings, model, tokenizer)
+            row = {"image_id": image_id, "policy": policy, "R": R,
+                   "T": acq.T, "seed": seed,
+                   **eval_one(img, traj.reconstruction)}
+            metric_rows.append(row)
+            group_rows.setdefault((policy, R), []).append(row)
+            tdir = res_dir / "trajectories" / tag
+            atomic_write_text(tdir / f"{image_id}.jsonl",
+                              _trajectory_records(policy, traj))
+            save_mask(tdir / f"{image_id}_mask.json", traj.final_mask)
+            save_ctns(res_dir / "recon" / tag / f"{image_id}.ctns",
+                      traj.reconstruction)
+            for rec in traj.steps:
+                curve_rows.append({
+                    "policy": policy, "R": R, "seed": seed,
+                    "image_id": image_id, "steps_done": rec.step - 1,
+                    "nmse": rec.nmse_before,
+                })
+            curve_rows.append({
+                "policy": policy, "R": R, "seed": seed,
+                "image_id": image_id, "steps_done": len(traj.steps),
+                "nmse": traj.final_nmse,
+            })
 
     for (policy, R), rows in group_rows.items():
         summaries.append({
@@ -432,40 +432,39 @@ class BenchResult:
 
 
 def cmd_bench(cfg: ExperimentConfig) -> BenchResult:
+    """Per-step latency of LES and GEO, timed on the trajectories `cmd_run`
+    makes, in its order, until each policy has `bench.min_steps` steps."""
     tokenizer, model = load_artifacts(cfg)
     images = load_split(cfg, "test")
-    if not images:
-        raise ConfigError("bench needs at least one test image (run gen-data)")
-    settings = functools.partial(cfg.acquisition.trajectory,
-                                 R=cfg.bench.accel, T=cfg.bench.T)
-    # a trajectory without lines to acquire records no steps, and the
-    # min_steps loop below would never end
-    num_lines = images[0][1].shape[0]
-    if settings("les").plan(num_lines)[1] < 1:
+    acq = cfg.acquisition
+    if acq.T < 1:
+        raise ConfigError(f"bench needs acquisition.T >= 1, got {acq.T}")
+    if not any(acq.trajectory("les", R).plan(cfg.data.size)[1]
+               for R in acq.accelerations):
         raise ConfigError(
-            f"bench.accel={cfg.bench.accel} leaves no line to acquire "
-            f"on {num_lines}-line images"
-        )
+            f"acquisition.accelerations {acq.accelerations} leave no line "
+            f"to acquire on {cfg.data.size}-line images")
     bench_dir = Path(cfg.out_dir) / "bench"
     rows = []
     for policy in ("les", "geo"):
         times: list[float] = []
-        total = 0.0
-        img_idx = 0
-        while len(times) < cfg.bench.min_steps:
-            image_id, img = images[img_idx % len(images)]
-            traj = run_acquisition(img, settings(policy, seed=img_idx), model,
-                                   tokenizer)
-            step_times = [rec.time_ms for rec in traj.steps]
-            times.extend(step_times)
-            total += sum(step_times) / 1e3
-            img_idx += 1
+        for *_, img, settings in _trajectories(acq, images, policy):
+            traj = run_acquisition(img, settings, model, tokenizer)
+            times.extend(rec.time_ms for rec in traj.steps)
+            if len(times) >= cfg.bench.min_steps:
+                break
+        else:
+            raise ConfigError(
+                f"bench.min_steps is {cfg.bench.min_steps}, more than the "
+                f"{len(times)} steps of {policy}'s trajectories over "
+                f"acquisition.accelerations, acquisition.seeds and the "
+                f"{len(images)} test images")
         rows.append({
             "policy": policy,
             "steps": len(times),
             "step_ms_mean": float(np.mean(times)),
             "step_ms_std": float(np.std(times)),
-            "total_s": total,
+            "total_s": sum(times) / 1e3,
         })
     write_json(bench_dir / "latency.json", {"rows": rows})
     cols = ["policy", "steps", "step_ms_mean", "step_ms_std", "total_s"]

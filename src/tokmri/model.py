@@ -60,8 +60,11 @@ class TransformerConfig:
     ffn_dim: int = 128
 
     def __post_init__(self):
-        if self.heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {self.heads}")
+        for key, least in (("layers", 0), ("heads", 1), ("embed_dim", 1),
+                           ("ffn_dim", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(
+                    f"{key} must be >= {least}, got {getattr(self, key)}")
         if self.embed_dim % self.heads:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"

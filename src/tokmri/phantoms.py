@@ -78,8 +78,16 @@ class PhantomSpec:
                 f"phantom size must be in [16, 16384], got {self.size}")
         if self.phase_mode not in ("zero", "smooth-random"):
             raise ConfigError(f"unknown phase mode {self.phase_mode!r}")
-        if self.n_ellipses < 0:
-            raise ConfigError("n_ellipses must be >= 0")
+        lo, hi = self.intensity_lo, self.intensity_hi
+        # no ellipse, or none of positive intensity, leaves an all-zero
+        # phantom; NaN fails every comparison
+        if self.n_ellipses < 1:
+            raise ConfigError(f"n_ellipses must be >= 1, got {self.n_ellipses}")
+        if not 0 <= lo < math.inf:
+            raise ConfigError(f"intensity_lo must be finite and >= 0, got {lo}")
+        if not (lo <= hi < math.inf and hi > 0):
+            raise ConfigError(f"intensity_hi must be finite, > 0 and >= "
+                              f"intensity_lo {lo}, got {hi}")
 
 
 def _smooth_phase(size: int, rng: np.random.Generator) -> np.ndarray:

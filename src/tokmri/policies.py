@@ -94,7 +94,6 @@ class StepRecord:
 
 @dataclass
 class AcquisitionTrajectory:
-    policy: str
     steps: list[StepRecord] = field(default_factory=list)
     final_mask: SamplingMask | None = None
     final_nmse: float | None = None
@@ -245,7 +244,7 @@ def run_acquisition(
         return model.predict(zf.q_re, zf.q_im), (zf.stats_re, zf.stats_im)
 
     mask, remaining, per_step = cfg.plan(H)
-    traj = AcquisitionTrajectory(policy=cfg.policy)
+    traj = AcquisitionTrajectory()
     rng = np.random.default_rng(cfg.seed)
     noise = NoiseSpec(cfg.noise.sigma,
                       seed=int(np.uint64(cfg.noise.seed) ^ np.uint64(cfg.seed)))

@@ -2,12 +2,13 @@ import csv
 import json
 import math
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tokmri.cli import main
@@ -22,8 +23,8 @@ from tokmri.experiment import (
     load_checkpoint,
     load_split,
 )
-from tokmri.model import TransformerConfig
-from tokmri.policies import oracle_reconstruct
+from tokmri.model import LatentTransformer, TransformerConfig, read_model_manifest
+from tokmri.policies import oracle_reconstruct, run_acquisition
 from tokmri.storage import load_ctns
 
 
@@ -60,8 +61,6 @@ def mini_config(out_dir: str) -> ExperimentConfig:
     cfg.acquisition.T = 2
     cfg.acquisition.policies = ["random", "les", "geo", "oracle"]
     cfg.acquisition.seeds = [0]
-    cfg.bench.accel = 4
-    cfg.bench.T = 3
     cfg.bench.min_steps = 6
     cfg.validate()
     return cfg
@@ -159,8 +158,32 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.load(tmp_path / "nope.yaml")
 
+    @settings(max_examples=150, deadline=None)
+    @example(model={"layers": -1, "heads": 1, "embed_dim": 1, "ffn_dim": 1})
+    @given(model=st.fixed_dictionaries({
+        key: st.integers(-2, 12)
+        for key in ("layers", "heads", "embed_dim", "ffn_dim")}))
+    def test_model_section_round_trips(self, model):
+        """A `model` section either fails to load, naming the section, or
+        gives a model that saves and reads back."""
+        try:
+            cfg = ExperimentConfig.from_dict({"model": model})
+        except ConfigError as exc:
+            assert str(exc).startswith("model: ")
+            return
+        net = LatentTransformer.init(cfg.model, latent_dim=3, seq_len=2,
+                                     codebook_size=4, seed=0)
+        with tempfile.TemporaryDirectory() as tmp:
+            net.save(tmp)
+            manifest = read_model_manifest(tmp)
+            back = LatentTransformer.load(tmp, manifest)
+        assert manifest["config"] == cfg.model
+        assert back.params.keys() == net.params.keys()
+        for name, arr in net.params.items():
+            assert back.params[name].tobytes() == arr.tobytes()
+
     @pytest.mark.parametrize("value", [0, "3"])
-    @pytest.mark.parametrize("key", ["accel", "T", "min_steps"])
+    @pytest.mark.parametrize("key", ["min_steps"])
     def test_validation_bench_at_least_one(self, key, value):
         cfg = default_config()
         setattr(cfg.bench, key, value)
@@ -423,6 +446,20 @@ class TestCLI:
         ("tokenizer:\n  kmeans_iters: 0\n", "tokenizer.kmeans_iters"),
         ("model:\n  heads: 3\n", "model: embed_dim"),
         ("model:\n  heads: 0\n", "model: heads"),
+        ("model:\n  layers: -1\n", "model: layers"),
+        ("model:\n  embed_dim: 0\n", "model: embed_dim"),
+        ("model:\n  ffn_dim: 0\n", "model: ffn_dim"),
+        ("model:\n  ffn_dim: -3\n", "model: ffn_dim"),
+        ("data:\n  n_ellipses: 0\n", "data: n_ellipses"),
+        ("data:\n  intensity_lo: .nan\n", "data: intensity_lo"),
+        ("data:\n  intensity_lo: .inf\n", "data: intensity_lo"),
+        ("data:\n  intensity_hi: .inf\n", "data: intensity_hi"),
+        ("data:\n  intensity_lo: -1.0e+300\n", "data: intensity_lo"),
+        ("data:\n  intensity_lo: 2.0\n  intensity_hi: 1.0\n",
+         "data: intensity_hi"),
+        ("data:\n  intensity_lo: 0\n  intensity_hi: 0\n", "data: intensity_hi"),
+        ("bench:\n  accel: 8\n", "unknown config key bench.accel"),
+        ("bench:\n  T: 8\n", "unknown config key bench.T"),
         ("train:\n  accel_lo: 0\n", "train: accel_lo"),
         ("train:\n  accel_lo: -1\n", "train: accel_lo"),
         ("train:\n  accel_lo: 30\n", "train: accel_lo"),
@@ -578,17 +615,52 @@ class TestCLI:
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(cfg.to_yaml())
         assert main(["bench", "--config", str(cfg_path), "--steps", "0"]) == 1
-        assert "bench.T" in capsys.readouterr().err
+        assert "acquisition.T" in capsys.readouterr().err
 
     def test_bench_accel_without_lines_exit_one(self, mini_run, tmp_path,
                                                 capsys, no_trajectories):
         cfg, *_ = mini_run
         bad = ExperimentConfig.from_dict(cfg.to_dict())
-        bad.bench.accel = 64  # round(32 * 0.96 / 64) == 0 lines
+        bad.acquisition.accelerations = [64]  # round(32 * 0.96 / 64) == 0 lines
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(bad.to_yaml())
         assert main(["bench", "--config", str(cfg_path)]) == 1
-        assert "bench.accel" in capsys.readouterr().err
+        assert "acquisition.accelerations" in capsys.readouterr().err
+
+    def test_bench_grid_short_of_min_steps_exit_one(self, mini_run, tmp_path,
+                                                    capsys):
+        out, cfg_path = _artifact_copy(mini_run, tmp_path)
+        cfg = ExperimentConfig.load(cfg_path)
+        cfg.bench.min_steps = 11  # 5 images × 2 steps at x4
+        cfg_path.write_text(cfg.to_yaml())
+        assert main(["bench", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "bench.min_steps" in err and "10 steps" in err, err
+        assert not (out / "bench").exists()
+
+    def test_bench_times_the_trajectories_run_makes(self, mini_run, tmp_path,
+                                                    monkeypatch):
+        import tokmri.experiment as exp
+
+        out, cfg_path = _artifact_copy(mini_run, tmp_path)
+        cfg = ExperimentConfig.load(cfg_path)
+        calls = []
+
+        def record(img, settings, *args):
+            calls.append((settings, img.tobytes()))
+            return run_acquisition(img, settings, *args)
+
+        monkeypatch.setattr(exp, "run_acquisition", record)
+        cmd_run(cfg)
+        run_calls = calls[:]
+        del calls[:]
+        cmd_bench(cfg)
+        for policy in ("les", "geo"):
+            ran = [c for c in run_calls if c[0].policy == policy]
+            timed = [c for c in calls if c[0].policy == policy]
+            # 2 steps per trajectory: 3 trajectories reach min_steps 6
+            assert len(timed) == 3
+            assert timed == ran[:3]
 
     @pytest.mark.parametrize("corrupt, named", [
         pytest.param(lambda m, d: m["tensors"].pop("pos"),
@@ -741,11 +813,10 @@ class TestCLI:
         cfg_path = tmp_path / "cfg.yaml"
         cfg = mini_config(str(tmp_path / "o"))
         cfg_path.write_text(cfg.to_yaml())
-        args = build_parser().parse_args(
-            ["run", "--config", str(cfg_path), "--steps", "0"])
-        merged = load_config(args)
-        assert merged.acquisition.T == 0
-        assert merged.bench.T == cfg.bench.T
+        for command in ("run", "bench"):
+            args = build_parser().parse_args(
+                [command, "--config", str(cfg_path), "--steps", "0"])
+            assert load_config(args).acquisition.T == 0
 
     def test_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

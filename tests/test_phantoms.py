@@ -48,8 +48,9 @@ class TestSheppLogan:
 
 class TestRandomEllipsePhantom:
     def test_zero_ellipses_zero_image(self):
-        img = random_ellipse_phantom(PhantomSpec(size=32, n_ellipses=0, seed=1))
-        assert np.all(img == 0)
+        # no ellipse would render an all-zero phantom, which the spec rejects
+        with pytest.raises(ConfigError, match="n_ellipses"):
+            PhantomSpec(size=32, n_ellipses=0, seed=1)
 
     def test_seed_reproducible_bitwise(self):
         spec = PhantomSpec(size=32, seed=77)
