@@ -164,9 +164,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         d, t, acq = self.data, self.tokenizer, self.acquisition
-        for section, key in (("data", "size"), ("tokenizer", "K"),
-                             ("tokenizer", "D"), ("tokenizer", "p"),
-                             ("tokenizer", "kmeans_iters"),
+        for section, key in (("tokenizer", "K"), ("tokenizer", "D"),
+                             ("tokenizer", "p"), ("tokenizer", "kmeans_iters"),
                              ("train", "epochs"), ("train", "batch_size")):
             if getattr(getattr(self, section), key) < 1:
                 raise ConfigError(f"{section}.{key} must be >= 1")
@@ -181,6 +180,7 @@ class ExperimentConfig:
                     f"{section}.{key} must be finite and > 0, got {value}")
         if not isinstance(self.bench.min_steps, int) or self.bench.min_steps < 1:
             raise ConfigError("bench.min_steps must be an integer >= 1")
+        _built("data", d.phantom)
         if d.size % t.p:
             raise ConfigError(
                 f"patch size {t.p} does not divide image size {d.size}"
@@ -206,7 +206,6 @@ class ExperimentConfig:
             if policy not in (*POLICIES, "oracle"):
                 raise ConfigError(f"acquisition.policies holds unknown policy "
                                   f"{policy!r}; known: {(*POLICIES, 'oracle')}")
-        _built("data", d.phantom)
         _built("train", lambda: self.train.corruption(acq.rho_c))
         # the plan does not depend on the policy; `bench` runs LES and GEO
         # whatever `acquisition.policies` holds

@@ -113,8 +113,11 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ConfigError(f"noise sigma must be >= 0, got {self.sigma}")
+        # noisy values are squared and summed (channel variance, NMSE), so
+        # sigma stays far below sqrt(float max); NaN fails the comparison
+        if not 0 <= self.sigma <= 1e100:
+            raise ConfigError(f"noise sigma must be finite and in [0, 1e100], "
+                              f"got {self.sigma}")
 
     def draw(self, shape, rng: np.random.Generator | None = None) -> np.ndarray:
         """Noise field for a full grid; all-zero when sigma == 0.

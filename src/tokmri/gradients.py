@@ -35,10 +35,8 @@ class PipelineState:
     q_re_id: int
     q_im_id: int
     loss_id: int
-    logits_re: np.ndarray  # (L, K)
-    logits_im: np.ndarray
-    stats_re: ChannelStats
-    stats_im: ChannelStats
+    logits: tuple[np.ndarray, np.ndarray]  # (re, im), each (L, K)
+    stats: tuple[ChannelStats, ChannelStats]  # (re, im)
     loss: float
 
     def frozen_offsets(self) -> tuple[np.ndarray, np.ndarray]:
@@ -97,10 +95,9 @@ def pipeline_forward(
         q_re_id=q_ids[0],
         q_im_id=q_ids[1],
         loss_id=loss_id,
-        logits_re=tape.val(lre),
-        logits_im=tape.val(lim),
-        stats_re=channel_stats(tape.val(ch_ids[0])),
-        stats_im=channel_stats(tape.val(ch_ids[1])),
+        logits=(tape.val(lre), tape.val(lim)),
+        stats=(channel_stats(tape.val(ch_ids[0])),
+               channel_stats(tape.val(ch_ids[1]))),
         loss=float(tape.val(loss_id)),
     )
 
@@ -123,11 +120,9 @@ def backward_to_kspace(state: PipelineState,
     return np.asarray(grads[state.y_id], dtype=np.complex128)
 
 
-def line_gradient_scores(magnitude: np.ndarray) -> np.ndarray:
-    """Per-line sums of the gradient magnitude map (lines are rows)."""
-    G = np.asarray(magnitude, dtype=np.float64)
+def line_gradient_scores(grad: np.ndarray) -> np.ndarray:
+    """Per-line (row) sums of the complex k-space gradient's modulus."""
+    G = np.abs(np.asarray(grad, dtype=np.complex128))
     if not np.all(np.isfinite(G)):
         raise InvalidInputError("gradient magnitude map contains NaN or Inf")
-    if np.any(G < 0):
-        raise InvalidInputError("gradient magnitude map must be non-negative")
     return G.sum(axis=1)

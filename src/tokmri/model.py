@@ -486,6 +486,7 @@ def train_model(
     acquires, zero-fills, tokenizes both channels, and minimizes the summed
     token cross-entropy of both streams against the fully sampled image's
     token indices.  The tokenizer stays frozen; `noise.seed` is unused.
+    A `resume` state is continued in place and returned.
     """
     if not dataset:
         raise ConfigError("training dataset is empty")
@@ -498,21 +499,21 @@ def train_model(
     targets = [tokenize_image(tokenizer, img) for img in images]
     seq_len = targets[0].q_re.L
 
-    if resume is None:
+    state = resume
+    if state is None:
         model = LatentTransformer.init(
             cfg, tokenizer.D, seq_len, tokenizer.codebook.K, seed=seed
         )
-        resume = TrainState(model=model, epoch=0, adam=AdamState(
+        state = TrainState(model=model, epoch=0, adam=AdamState(
             m={k: np.zeros_like(v) for k, v in model.params.items()},
             v={k: np.zeros_like(v) for k, v in model.params.items()},
         ))
-    model, adam, trace = resume.model, resume.adam, list(resume.trace)
+    model, adam = state.model, state.adam
     rng = np.random.default_rng(seed)
-    if resume.rng_state is not None:
-        rng.bit_generator.state = resume.rng_state
+    if state.rng_state is not None:
+        rng.bit_generator.state = state.rng_state
 
-    state = TrainState(model=model, adam=adam, epoch=resume.epoch, trace=trace)
-    for epoch in range(resume.epoch, epochs):
+    for epoch in range(state.epoch, epochs):
         order = rng.permutation(len(images))
         step = 0
         for lo in range(0, len(order), batch_size):
@@ -541,10 +542,9 @@ def train_model(
                     checkpoint=state,
                 )
             _adam_step(model.params, pgrads, adam, lr)
-            trace.append((epoch, step, mean_token_ce))
+            state.trace.append((epoch, step, mean_token_ce))
             step += 1
         state.epoch = epoch + 1
-        state.trace = trace
         state.rng_state = rng.bit_generator.state
         if on_epoch_end is not None:
             on_epoch_end(state)

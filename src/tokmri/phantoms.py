@@ -10,6 +10,7 @@ structure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,7 @@ class PhantomSpec:
     def __post_init__(self):
         # one complex128 k-space of a larger image would exceed 4 GiB
         if not 16 <= self.size <= 2**14:
-            raise ConfigError(
-                f"phantom size must be in [16, 16384], got {self.size}")
+            raise ConfigError(f"size must be in [16, 16384], got {self.size}")
         if self.phase_mode not in ("zero", "smooth-random"):
             raise ConfigError(f"unknown phase mode {self.phase_mode!r}")
         lo, hi = self.intensity_lo, self.intensity_hi
@@ -88,6 +88,11 @@ class PhantomSpec:
         if not (lo <= hi < math.inf and hi > 0):
             raise ConfigError(f"intensity_hi must be finite, > 0 and >= "
                               f"intensity_lo {lo}, got {hi}")
+        # overlapping ellipses add up; the margin of 2 absorbs rounding, and
+        # the int-float comparison is exact for any n_ellipses
+        if not self.n_ellipses <= sys.float_info.max / 2 / hi:
+            raise ConfigError(f"n_ellipses {self.n_ellipses} times "
+                              f"intensity_hi {hi} exceeds half the float max")
 
 
 def _smooth_phase(size: int, rng: np.random.Generator) -> np.ndarray:

@@ -7,9 +7,11 @@ are provided:
 
 * ``random``  - uniform among unacquired lines (the non-adaptive baseline);
 * ``les``     - project the upsampled token-entropy map into k-space and
-  rank lines by mean magnitude;
-* ``geo``     - rank lines by the summed magnitude of the gradient of the
-  total token entropy w.r.t. the measured k-space.
+  score each line by its mean magnitude;
+* ``geo``     - score each line by the summed magnitude of the gradient of
+  the total token entropy w.r.t. the measured k-space;
+
+one selector ranks the unacquired lines by either score vector.
 
 ``oracle_reconstruct`` is no policy: it encodes and decodes the fully
 sampled ground truth, bounding what the discrete latent pipeline can
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,19 +96,10 @@ class StepRecord:
 
 @dataclass
 class AcquisitionTrajectory:
-    steps: list[StepRecord] = field(default_factory=list)
-    final_mask: SamplingMask | None = None
-    final_nmse: float | None = None
-    reconstruction: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class EntropyMap:
-    """Latent-grid entropy, its image-size upsampling, and the k-space view."""
-
-    h: np.ndarray         # (H/p, W/p)
-    U_space: np.ndarray   # (H, W)
-    U_kspace: np.ndarray  # (H, W), |FFT(U_space)|
+    steps: list[StepRecord]
+    final_mask: SamplingMask
+    final_nmse: float
+    reconstruction: np.ndarray
 
 
 def patch_entropy(logits_re: np.ndarray, logits_im: np.ndarray,
@@ -151,52 +144,51 @@ def upsample_bilinear(h: np.ndarray, H: int, W: int) -> np.ndarray:
 
 
 def entropy_map(logits_re: np.ndarray, logits_im: np.ndarray,
-                grid_h: int, grid_w: int, H: int, W: int) -> EntropyMap:
+                grid_h: int, grid_w: int, H: int, W: int) -> np.ndarray:
+    """|FFT| of the patch entropy map upsampled to the (H, W) image."""
     h = patch_entropy(logits_re, logits_im, grid_h, grid_w)
-    u_space = upsample_bilinear(h, H, W)
-    u_kspace = np.abs(forward_fft(u_space))
-    return EntropyMap(h=h, U_space=u_space, U_kspace=u_kspace)
+    return np.abs(forward_fft(upsample_bilinear(h, H, W)))
+
+
+def _free_lines(acquired: SamplingMask, n: int) -> np.ndarray:
+    """The unacquired line indices, of which there must be at least `n`."""
+    free = acquired.free_indices()
+    if free.size < n:
+        raise BudgetExhaustedError(
+            f"requested {n} lines but only {free.size} remain")
+    return free
 
 
 def _top_free_lines(scores: np.ndarray, acquired: SamplingMask,
                     n: int) -> list[int]:
     """Highest-scoring unacquired lines; equal scores go to lower indices."""
+    scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (acquired.num_lines,):
         raise ShapeMismatchError(
             f"score vector {scores.shape} vs {acquired.num_lines} lines"
         )
-    free = acquired.free_indices()
-    if free.size < n:
-        raise BudgetExhaustedError(
-            f"requested {n} lines but only {free.size} remain"
-        )
+    _free_lines(acquired, n)
     masked = np.where(acquired.flags, -np.inf, scores)
     order = np.argsort(-masked, kind="stable")
     return [int(j) for j in order[:n]]
 
 
-def les_select(u_kspace: np.ndarray, acquired: SamplingMask, n: int) -> list[int]:
+def les_select(line_scores: np.ndarray, acquired: SamplingMask,
+               n: int) -> list[int]:
     """Top-n unacquired lines by mean k-space magnitude of the entropy map."""
-    return _top_free_lines(
-        np.asarray(u_kspace, dtype=np.float64).mean(axis=1), acquired, n
-    )
+    return _top_free_lines(line_scores, acquired, n)
 
 
 def geo_select(line_scores: np.ndarray, acquired: SamplingMask,
                n: int) -> list[int]:
     """Top-n unacquired lines by summed gradient magnitude."""
-    return _top_free_lines(np.asarray(line_scores, dtype=np.float64),
-                           acquired, n)
+    return _top_free_lines(line_scores, acquired, n)
 
 
 def random_select(acquired: SamplingMask, n: int,
                   rng: np.random.Generator) -> list[int]:
     """Uniform sample without replacement among unacquired lines."""
-    free = acquired.free_indices()
-    if free.size < n:
-        raise BudgetExhaustedError(
-            f"requested {n} lines but only {free.size} remain"
-        )
+    free = _free_lines(acquired, n)
     return [int(j) for j in rng.choice(free, size=n, replace=False)]
 
 
@@ -212,11 +204,11 @@ def oracle_reconstruct(ground_truth: np.ndarray,
                        tokens.stats_re, tokens.stats_im)
 
 
-def _reconstruct_from_logits(tokenizer, logits_re, logits_im,
-                             stats_re, stats_im, grid):
-    q_re = predicted_tokens(logits_re, tokenizer.codebook, *grid)
-    q_im = predicted_tokens(logits_im, tokenizer.codebook, *grid)
-    return reconstruct(tokenizer, q_re, q_im, stats_re, stats_im)
+def _reconstruct_from_logits(tokenizer, logits, stats, grid):
+    """Decode the most likely tokens of the (re, im) `logits` pair."""
+    q_re, q_im = (predicted_tokens(lg, tokenizer.codebook, *grid)
+                  for lg in logits)
+    return reconstruct(tokenizer, q_re, q_im, *stats)
 
 
 def run_acquisition(
@@ -244,7 +236,7 @@ def run_acquisition(
         return model.predict(zf.q_re, zf.q_im), (zf.stats_re, zf.stats_im)
 
     mask, remaining, per_step = cfg.plan(H)
-    traj = AcquisitionTrajectory()
+    steps = []
     rng = np.random.default_rng(cfg.seed)
     noise = NoiseSpec(cfg.noise.sigma,
                       seed=int(np.uint64(cfg.noise.seed) ^ np.uint64(cfg.seed)))
@@ -260,25 +252,23 @@ def run_acquisition(
 
         if cfg.policy == "geo":
             state = pipeline_forward(ksp, tokenizer, model)
-            logits = (state.logits_re, state.logits_im)
-            stats = (state.stats_re, state.stats_im)
-            scores = line_gradient_scores(np.abs(backward_to_kspace(state)))
+            logits, stats = state.logits, state.stats
+            scores = line_gradient_scores(backward_to_kspace(state))
             lines = geo_select(scores, mask, n_t)
         else:
             logits, stats = predict(ksp)
             if cfg.policy == "les":
-                emap = entropy_map(*logits, *grid, H, W)
-                scores = emap.U_kspace.mean(axis=1)
-                lines = les_select(emap.U_kspace, mask, n_t)
+                scores = entropy_map(*logits, *grid, H, W).mean(axis=1)
+                lines = les_select(scores, mask, n_t)
             else:
                 scores = None
                 lines = random_select(mask, n_t, rng)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
 
-        recon_t = _reconstruct_from_logits(tokenizer, *logits, *stats, grid)
+        recon_t = _reconstruct_from_logits(tokenizer, logits, stats, grid)
         mask = mask.with_lines(lines)
         remaining -= len(lines)
-        traj.steps.append(StepRecord(
+        steps.append(StepRecord(
             step=t,
             lines=lines,
             mask=mask,
@@ -287,9 +277,8 @@ def run_acquisition(
             time_ms=elapsed_ms,
         ))
 
-    logits, stats = predict(mask.apply(full_ksp))
-    recon = _reconstruct_from_logits(tokenizer, *logits, *stats, grid)
-    traj.final_mask = mask
-    traj.reconstruction = recon
-    traj.final_nmse = nmse(ref_mag, np.abs(recon))
-    return traj
+    recon = _reconstruct_from_logits(tokenizer, *predict(mask.apply(full_ksp)),
+                                     grid)
+    return AcquisitionTrajectory(steps=steps, final_mask=mask,
+                                 final_nmse=nmse(ref_mag, np.abs(recon)),
+                                 reconstruction=recon)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from tokmri.experiment import (
     load_split,
 )
 from tokmri.model import LatentTransformer, TransformerConfig, read_model_manifest
+from tokmri.phantoms import random_ellipse_phantom
 from tokmri.policies import oracle_reconstruct, run_acquisition
 from tokmri.storage import load_ctns
 
@@ -429,7 +431,7 @@ class TestCLI:
         assert f"config key {key} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc, key", [
-        ("data:\n  size: 0\n", "data.size"),
+        ("data:\n  size: 0\n", "data: size"),
         ("data:\n  n_train: -5\n", "data.n_train"),
         ("data:\n  n_val: -1\n", "data.n_val"),
         ("data:\n  n_test: -1\n", "data.n_test"),
@@ -458,6 +460,10 @@ class TestCLI:
         ("data:\n  intensity_lo: 2.0\n  intensity_hi: 1.0\n",
          "data: intensity_hi"),
         ("data:\n  intensity_lo: 0\n  intensity_hi: 0\n", "data: intensity_hi"),
+        ("data:\n  intensity_lo: 1.0e+308\n  intensity_hi: 1.7e+308\n",
+         "data: n_ellipses"),
+        pytest.param("data:\n  n_ellipses: 1" + "0" * 400 + "\n",
+                     "data: n_ellipses", id="data.n_ellipses-401-digits"),
         ("bench:\n  accel: 8\n", "unknown config key bench.accel"),
         ("bench:\n  T: 8\n", "unknown config key bench.T"),
         ("train:\n  accel_lo: 0\n", "train: accel_lo"),
@@ -465,9 +471,14 @@ class TestCLI:
         ("train:\n  accel_lo: 30\n", "train: accel_lo"),
         ("train:\n  accel_hi: .nan\n", "train: accel_lo"),
         ("train:\n  noise_sigma: -0.1\n", "train: noise sigma"),
+        ("train:\n  noise_sigma: .nan\n", "train: noise sigma"),
+        ("train:\n  noise_sigma: .inf\n", "train: noise sigma"),
+        ("train:\n  noise_sigma: 1.0e+300\n", "train: noise sigma"),
         ("acquisition:\n  T: -1\n", "acquisition: step count"),
         ("acquisition:\n  lines_per_step: 0\n", "acquisition: lines_per_step"),
         ("acquisition:\n  noise_sigma: -1.0\n", "acquisition: noise sigma"),
+        ("acquisition:\n  noise_sigma: .nan\n", "acquisition: noise sigma"),
+        ("acquisition:\n  noise_sigma: .inf\n", "acquisition: noise sigma"),
         ("data:\n  size: 32\nacquisition:\n  accelerations: [4]\n"
          "  T: 1\n  lines_per_step: 1\n", "acquisition: 1 steps of 1 lines"),
         ("metrics:\n  psnr_cap: .nan\n", "metrics.psnr_cap"),
@@ -487,7 +498,7 @@ class TestCLI:
         (f"acquisition:\n  seeds: [{2**64}]\n", "acquisition.seeds"),
         ("acquisition:\n  noise_seed: -1\n", "acquisition.noise_seed"),
         (f"acquisition:\n  noise_seed: {2**32}\n", "acquisition.noise_seed"),
-        ("data:\n  size: 1000000000000\n", "phantom size"),
+        ("data:\n  size: 1000000000000\n", "data: size"),
         pytest.param("train:\n  lr: 1" + "0" * 400 + "\n", "train.lr",
                      id="train.lr-401-digits"),
     ])
@@ -552,6 +563,48 @@ class TestCLI:
             ExperimentConfig.load(path)
         except ConfigError:
             pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(section=st.sampled_from(["train", "acquisition"]),
+           sigma=st.floats())
+    @example(section="train", sigma=math.nan)
+    @example(section="acquisition", sigma=math.inf)
+    @example(section="acquisition", sigma=sys.float_info.max)
+    @example(section="train", sigma=5e-324)
+    def test_any_noise_sigma_loads_or_fails_closed(self, section, sigma):
+        # a sigma either fails at load, naming its section, or draws a
+        # finite noise field
+        try:
+            cfg = ExperimentConfig.from_dict({section: {"noise_sigma": sigma}})
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{section}: ")
+            return
+        if section == "train":
+            noise = cfg.train.corruption(cfg.acquisition.rho_c)[1]
+        else:
+            noise = cfg.acquisition.trajectory("les", 8).noise
+        assert np.all(np.isfinite(noise.draw((4, 4))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_ellipses=st.integers(max_value=20), lo=st.floats(),
+           hi=st.floats(), seed=st.integers(0, 2**32 - 1))
+    @example(n_ellipses=8, lo=1.0e308, hi=1.7e308, seed=0)
+    @example(n_ellipses=3, lo=5.992310449541053e307,
+             hi=5.992310449541053e307, seed=14)
+    @example(n_ellipses=1, lo=0.0, hi=5e-324, seed=0)
+    def test_any_phantom_intensities_load_or_fail_closed(self, n_ellipses,
+                                                         lo, hi, seed):
+        # overlapping ellipses sum their intensities: a setting either fails
+        # at load, naming the data section, or renders a finite phantom
+        doc = {"data": {"size": 16, "n_ellipses": n_ellipses,
+                        "intensity_lo": lo, "intensity_hi": hi}}
+        try:
+            cfg = ExperimentConfig.from_dict(doc)
+        except ConfigError as exc:
+            assert str(exc).startswith("data: ")
+            return
+        img = random_ellipse_phantom(cfg.data.phantom(seed))
+        assert img.shape == (16, 16) and np.all(np.isfinite(img))
 
     def test_int_accepted_for_float_key(self):
         cfg = ExperimentConfig.from_dict({"train": {"lr": 1}})

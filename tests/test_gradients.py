@@ -158,8 +158,8 @@ class TestBackwardToKspace:
         state = pipeline_forward(ksp, tok, model)
         zf = tokenize_image(tok, zero_fill(ksp))
         lre, lim = model.predict(zf.q_re, zf.q_im)
-        assert np.allclose(softmax(state.logits_re), softmax(lre), atol=1e-12)
-        assert np.allclose(softmax(state.logits_im), softmax(lim), atol=1e-12)
+        assert np.allclose(softmax(state.logits[0]), softmax(lre), atol=1e-12)
+        assert np.allclose(softmax(state.logits[1]), softmax(lim), atol=1e-12)
 
 
 class TestLineGradientScores:
@@ -175,15 +175,17 @@ class TestLineGradientScores:
         assert np.all(scores[[0, 1, 3, 4, 5]] == 0)
 
     def test_matches_hand_sums(self):
-        G = np.abs(RNG.standard_normal((3, 3)))
+        G = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
         scores = line_gradient_scores(G)
         for j in range(3):
-            assert abs(scores[j] - (G[j, 0] + G[j, 1] + G[j, 2])) < 1e-12
+            assert abs(scores[j] - sum(abs(G[j]))) < 1e-12
 
-    def test_rejects_negative(self):
-        with pytest.raises(InvalidInputError):
-            line_gradient_scores(np.array([[-1.0, 0.0]]))
+    def test_sums_modulus_of_signed_entries(self):
+        scores = line_gradient_scores(np.array([[-1.0, 3 - 4j], [0.0, -2j]]))
+        assert np.array_equal(scores, [6.0, 2.0])
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
             line_gradient_scores(np.array([[np.inf, 0.0]]))
+        with pytest.raises(InvalidInputError):
+            line_gradient_scores(np.array([[complex(0.0, np.nan), 0.0]]))

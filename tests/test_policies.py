@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from tokmri.autodiff import softmax
-from tokmri.errors import BudgetExhaustedError, ConfigError
+from tokmri.errors import (
+    BudgetExhaustedError,
+    ConfigError,
+    ShapeMismatchError,
+)
 from tokmri.fourier import (
     NoiseSpec,
     acquire,
@@ -86,10 +90,11 @@ class TestUpsampleBilinear:
 
     def test_entropy_map_kspace_is_fft_magnitude(self):
         logits = np.log(RNG.dirichlet(np.ones(8), size=16))
-        emap = entropy_map(logits, logits, 4, 4, 16, 16)
-        assert np.array_equal(emap.U_kspace, np.abs(forward_fft(emap.U_space)))
-        assert np.all(emap.h >= 0)
-        assert np.all(emap.h <= 2 * math.log(8) + 1e-12)
+        u_kspace = entropy_map(logits, logits, 4, 4, 16, 16)
+        h = patch_entropy(logits, logits, 4, 4)
+        expect = np.abs(forward_fft(upsample_bilinear(h, 16, 16)))
+        assert u_kspace.dtype == np.float64 and u_kspace.shape == (16, 16)
+        assert u_kspace.tobytes() == expect.tobytes()
 
 
 class TestLesSelect:
@@ -98,14 +103,14 @@ class TestLesSelect:
         f = 3
         rows = np.cos(2 * np.pi * f * np.arange(H) / H)
         u_space = np.tile(rows[:, None], (1, W))
-        u_kspace = np.abs(forward_fft(u_space))
+        line_scores = np.abs(forward_fft(u_space)).mean(axis=1)
         acquired = make_center_mask(H, 0.0)  # nothing acquired
-        picks = les_select(u_kspace, acquired, 2)
+        picks = les_select(line_scores, acquired, 2)
         # the +-f twins tie; the lower index comes first
         assert picks == [H // 2 - f, H // 2 + f]
 
     def test_positive_scaling_invariance(self):
-        u = np.abs(RNG.standard_normal((16, 16)))
+        u = np.abs(RNG.standard_normal(16))
         acquired = make_center_mask(16, 0.25)
         assert les_select(u, acquired, 3) == les_select(7.5 * u, acquired, 3)
 
@@ -115,7 +120,7 @@ class TestLesSelect:
         from tokmri.fourier import SamplingMask
 
         acquired = SamplingMask(16, flags)
-        u = np.abs(RNG.standard_normal((16, 16)))
+        u = np.abs(RNG.standard_normal(16))
         assert les_select(u, acquired, 1) == [5]
 
     def test_budget_exhausted(self):
@@ -123,7 +128,11 @@ class TestLesSelect:
 
         acquired = SamplingMask(8, np.ones(8, dtype=bool))
         with pytest.raises(BudgetExhaustedError):
-            les_select(np.ones((8, 8)), acquired, 1)
+            les_select(np.ones(8), acquired, 1)
+
+    def test_takes_one_score_per_line(self):
+        with pytest.raises(ShapeMismatchError):
+            les_select(np.ones((8, 8)), make_center_mask(8, 0.25), 1)
 
 
 class TestGeoSelect:
@@ -361,9 +370,8 @@ class TestRunAcquisition:
         field = NoiseSpec(0.05, seed=9 ^ 4).draw(img.shape)
         ksp = acquire(img, traj.final_mask, noise_field=field)
         zf = tokenize_image(tok, zero_fill(ksp))
-        logits_re, logits_im = model.predict(zf.q_re, zf.q_im)
         recon = _reconstruct_from_logits(
-            tok, logits_re, logits_im, zf.stats_re, zf.stats_im,
+            tok, model.predict(zf.q_re, zf.q_im), (zf.stats_re, zf.stats_im),
             (zf.q_re.grid_h, zf.q_re.grid_w))
         assert np.array_equal(traj.reconstruction, recon)
 
