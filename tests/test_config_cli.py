@@ -498,7 +498,8 @@ class TestCLI:
         (f"acquisition:\n  seeds: [{2**64}]\n", "acquisition.seeds"),
         ("acquisition:\n  noise_seed: -1\n", "acquisition.noise_seed"),
         (f"acquisition:\n  noise_seed: {2**32}\n", "acquisition.noise_seed"),
-        ("data:\n  size: 1000000000000\n", "data: size"),
+        pytest.param("data:\n  size: 1000000000000\n", "data: size",
+                     id="data:\n  size: 1000000000000\n-phantom size"),
         pytest.param("train:\n  lr: 1" + "0" * 400 + "\n", "train.lr",
                      id="train.lr-401-digits"),
     ])
