@@ -5,9 +5,11 @@ the data and trains (`data`, `artifacts`, and `report`: the training report,
 which holds the tokenizer fit's `recon_mse` and `quant_distortion` and no
 timings), runs random, LES, GEO and the oracle at acquisition noise 0 and
 0.05 (`results`), and runs three test images' one-line-per-step random, LES
-and GEO trajectories at x8 (`trajectories`). It prints one `name sha256`
-line per group. Two runs print the same lines exactly when their outputs
-are byte-identical, so comparing a change with its parent is
+and GEO trajectories at x8 (`trajectories`). The `run` make-up trains at
+training noise 0.05, so the digests also cover the noise draws of
+training examples; `train` and `scan` train at noise 0. It prints one
+`name sha256` line per group. Two runs print the same lines exactly when
+their outputs are byte-identical, so comparing a change with its parent is
 
     python3 scripts/same_bits.py --out /tmp/new > new.txt
     python3 scripts/same_bits.py --src /path/to/parent/src --out /tmp/old > old.txt
@@ -35,6 +37,7 @@ SEED = 1            # the acquisition seed, as in the CI bench smoke
 NOISE = (0.0, 0.05)
 TRAJ_R = 8
 TRAJ_IMAGES = 3
+TRAIN_NOISE = 0.05  # the `run` make-up's training noise
 
 
 def trajectory_bytes(traj) -> bytes:
@@ -83,6 +86,8 @@ def main(argv=None) -> int:
         out = args.out.resolve() / name
         shutil.rmtree(out, ignore_errors=True)
         cfg = make_config(WORKLOADS[name], out, SEED)
+        if name == "run":
+            cfg.train.noise_sigma = TRAIN_NOISE
         cmd_gen_data(cfg)
         cmd_train(cfg)
         for folder in ("data", "artifacts"):

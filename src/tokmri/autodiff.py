@@ -34,8 +34,8 @@ from scipy.special import erf
 from .errors import ShapeMismatchError, TapeConsistencyError
 from .fourier import forward_fft, inverse_fft
 from .tokenizer import (
-    CHANNEL_NORM_EPS,
     Codebook,
+    channel_stats,
     nearest_entry_indices,
     patchify,
     unpatchify,
@@ -109,10 +109,9 @@ def layer_norm_vjp(cache, g, needs=(True, True, True)):
 
 def channel_norm_forward(x):
     """Whole-array normalization to zero mean, unit std (no affine)."""
-    mu = x.mean()
-    var = np.var(x)
-    inv = 1.0 / math.sqrt(var + CHANNEL_NORM_EPS)
-    z = (x - mu) * inv
+    s = channel_stats(x)
+    inv = 1.0 / s.std
+    z = (x - s.mean) * inv
     return z, (z, inv)
 
 

@@ -1,11 +1,12 @@
 """Declarative experiment configuration.
 
-One YAML document drives every CLI command.  Defaults live here and only
-here; `tokmri show-config` prints them.  Configurations round-trip through
-serialization unchanged.  A section's values are checked by the object it
-feeds (`PhantomSpec`, `TransformerConfig`, `RandomMaskSampler`,
-`AcquisitionConfig`), built at load time by the same methods the commands
-use.
+One YAML document drives every CLI command.  A run's defaults are the
+section defaults here, which `tokmri show-config` prints; the objects and
+functions the sections feed keep defaults of their own for direct callers.
+Configurations round-trip through serialization unchanged.  A section's
+values are checked by the object it feeds (`PhantomSpec`,
+`TransformerConfig`, `RandomMaskSampler`, `AcquisitionConfig`), built at
+load time by the same methods the commands use.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class AcquisitionSection:
         """Settings of one trajectory."""
         return AcquisitionConfig(
             R=R, rho_c=self.rho_c, T=self.T, lines_per_step=self.lines_per_step,
-            policy=policy, seed=seed,
-            noise=NoiseSpec(self.noise_sigma, seed=self.noise_seed))
+            policy=policy, seed=seed, noise=NoiseSpec(self.noise_sigma),
+            noise_seed=self.noise_seed)
 
 
 @dataclass
@@ -169,6 +170,9 @@ class ExperimentConfig:
                              ("train", "epochs"), ("train", "batch_size")):
             if getattr(getattr(self, section), key) < 1:
                 raise ConfigError(f"{section}.{key} must be >= 1")
+        if t.D > t.p * t.p:
+            raise ConfigError(f"tokenizer.D {t.D} exceeds the patch "
+                              f"dimension tokenizer.p² = {t.p * t.p}")
         for key in ("n_train", "n_val", "n_test"):
             count = getattr(d, key)
             if count < 0:

@@ -110,7 +110,6 @@ class NoiseSpec:
     """Complex Gaussian measurement noise, std `sigma` per real component."""
 
     sigma: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         # noisy values are squared and summed (channel variance, NMSE), so
@@ -119,16 +118,11 @@ class NoiseSpec:
             raise ConfigError(f"noise sigma must be finite and in [0, 1e100], "
                               f"got {self.sigma}")
 
-    def draw(self, shape, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Noise field for a full grid; all-zero when sigma == 0.
-
-        Draws from `rng` when given, else from a generator seeded with
-        `seed`; sigma == 0 consumes nothing from `rng`.
-        """
+    def draw(self, shape, rng: np.random.Generator) -> np.ndarray:
+        """Noise field for a full grid, drawn from `rng`; all-zero when
+        sigma == 0, which consumes nothing from `rng`."""
         if self.sigma == 0.0:
             return np.zeros(shape, dtype=np.complex128)
-        if rng is None:
-            rng = np.random.default_rng(self.seed)
         return self.sigma * (
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         )
@@ -152,10 +146,10 @@ def make_center_mask(num_lines: int, rho_c: float) -> SamplingMask:
     return SamplingMask(num_lines, flags, center_count=count)
 
 
-def sampling_budget(num_lines: int, R: int, rho_c: float) -> int:
-    """Non-central line budget round(num_lines * (1 - rho_c) / R)."""
-    if R < 1:
-        raise ConfigError(f"acceleration must be >= 1, got {R}")
+def sampling_budget(num_lines: int, R: float, rho_c: float) -> int:
+    """Non-central line budget round(num_lines * (1 - rho_c) / R), R > 0."""
+    if not R > 0:  # NaN fails the comparison
+        raise ConfigError(f"acceleration must be > 0, got {R}")
     return round_half_away(num_lines * (1.0 - rho_c) / R)
 
 

@@ -102,19 +102,14 @@ def pipeline_forward(
     )
 
 
-def backward_to_kspace(state: PipelineState,
-                       check_replay: bool = False) -> np.ndarray:
+def backward_to_kspace(state: PipelineState) -> np.ndarray:
     """d(total entropy)/d(k-space), an (H, W) complex128 array.
 
     Each entry packs the independent partials w.r.t. the real and imaginary
     parts of that k-space entry as g_re + 1j*g_im.  Entries at unsampled
     positions are reported too; line selection is responsible for excluding
-    already-acquired lines.  `check_replay` re-executes the recorded nodes
-    first and raises TapeConsistencyError when any node fails to reproduce
-    its cached output.
+    already-acquired lines.
     """
-    if check_replay:
-        state.tape.replay_check()
     grads = state.tape.backward(state.loss_id, seed=np.float64(1.0),
                                 wrt=(state.y_id,))
     return np.asarray(grads[state.y_id], dtype=np.complex128)

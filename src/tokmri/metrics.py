@@ -67,29 +67,27 @@ def window_mean(x: np.ndarray, window: int) -> np.ndarray:
     return acc
 
 
-def ssim(ref: np.ndarray, est: np.ndarray, window: int = SSIM_WINDOW,
-         k1: float = SSIM_K1, k2: float = SSIM_K2) -> float:
+def ssim(ref: np.ndarray, est: np.ndarray) -> float:
     """Mean local SSIM with a uniform window and population statistics.
 
     The dynamic range is max(ref) - min(ref); local means/variances come
     from every fully interior window ("valid" placement).
     """
     ref, est = _as_pair(ref, est)
-    if min(ref.shape) < window:
-        raise GeometryError(
-            f"image {ref.shape} smaller than the {window}×{window} SSIM window"
-        )
+    if min(ref.shape) < SSIM_WINDOW:
+        raise GeometryError(f"image {ref.shape} smaller than the "
+                            f"{SSIM_WINDOW}×{SSIM_WINDOW} SSIM window")
     dr = float(ref.max() - ref.min())
     if dr == 0.0:
         dr = 1.0
-    c1 = (k1 * dr) ** 2
-    c2 = (k2 * dr) ** 2
+    c1 = (SSIM_K1 * dr) ** 2
+    c2 = (SSIM_K2 * dr) ** 2
 
-    mu_x = window_mean(ref, window)
-    mu_y = window_mean(est, window)
-    xx = window_mean(ref * ref, window) - mu_x * mu_x
-    yy = window_mean(est * est, window) - mu_y * mu_y
-    xy = window_mean(ref * est, window) - mu_x * mu_y
+    mu_x = window_mean(ref, SSIM_WINDOW)
+    mu_y = window_mean(est, SSIM_WINDOW)
+    xx = window_mean(ref * ref, SSIM_WINDOW) - mu_x * mu_x
+    yy = window_mean(est * est, SSIM_WINDOW) - mu_y * mu_y
+    xy = window_mean(ref * est, SSIM_WINDOW) - mu_x * mu_y
     num = (2 * mu_x * mu_y + c1) * (2 * xy + c2)
     den = (mu_x**2 + mu_y**2 + c1) * (xx + yy + c2)
     return float(np.mean(num / den))

@@ -30,7 +30,7 @@ from .fourier import (
     SamplingMask,
     acquire,
     make_center_mask,
-    round_half_away,
+    sampling_budget,
     zero_fill,
 )
 from .storage import (
@@ -390,7 +390,7 @@ class RandomMaskSampler:
     def __call__(self, rng: np.random.Generator, num_lines: int) -> SamplingMask:
         R = float(np.exp(rng.uniform(np.log(self.accel_lo),
                                      np.log(self.accel_hi))))
-        budget = round_half_away(num_lines * (1.0 - self.rho_c) / R)
+        budget = sampling_budget(num_lines, R, self.rho_c)
         mask = make_center_mask(num_lines, self.rho_c)
         free = mask.free_indices()
         take = min(budget, free.size)
@@ -485,7 +485,7 @@ def train_model(
     `noise.sigma > 0`, a fresh noise field) from the training generator,
     acquires, zero-fills, tokenizes both channels, and minimizes the summed
     token cross-entropy of both streams against the fully sampled image's
-    token indices.  The tokenizer stays frozen; `noise.seed` is unused.
+    token indices.  The tokenizer stays frozen.
     A `resume` state is continued in place and returned.
     """
     if not dataset:

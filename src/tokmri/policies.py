@@ -57,6 +57,7 @@ class AcquisitionConfig:
     lines_per_step: int | None = None  # None: ceil(budget / T)
     policy: str = "les"
     noise: NoiseSpec = NoiseSpec()
+    noise_seed: int = 0   # noise is drawn with seed noise_seed ^ seed
     seed: int = 0
 
     def __post_init__(self):
@@ -68,6 +69,13 @@ class AcquisitionConfig:
             raise ConfigError(f"step count must be >= 0, got {self.T}")
         if self.lines_per_step is not None and self.lines_per_step < 1:
             raise ConfigError("lines_per_step must be positive")
+        for key in ("noise_seed", "seed"):
+            # both meet as uint64 in run_acquisition's noise generator
+            value = getattr(self, key)
+            if (not isinstance(value, (int, np.integer))
+                    or not 0 <= value < 2**64):
+                raise ConfigError(
+                    f"{key} must be an integer in [0, 2**64), got {value!r}")
 
     def plan(self, num_lines: int) -> tuple[SamplingMask, int, int]:
         """The centre mask, the lines to acquire beyond it and the lines per
@@ -238,10 +246,10 @@ def run_acquisition(
     mask, remaining, per_step = cfg.plan(H)
     steps = []
     rng = np.random.default_rng(cfg.seed)
-    noise = NoiseSpec(cfg.noise.sigma,
-                      seed=int(np.uint64(cfg.noise.seed) ^ np.uint64(cfg.seed)))
+    noise_rng = np.random.default_rng(
+        int(np.uint64(cfg.noise_seed) ^ np.uint64(cfg.seed)))
     # every measurement masks this one noisy k-space, as `acquire` would
-    full_ksp = forward_fft(img) + noise.draw(img.shape)
+    full_ksp = forward_fft(img) + cfg.noise.draw(img.shape, noise_rng)
 
     for t in range(1, cfg.T + 1):
         if remaining <= 0:

@@ -35,6 +35,7 @@ NEAREST_BLOCK_ROWS = 1024
 # most this fraction of max|x|^2 + |c|^2, far above the expansion's rounding
 # error (about D machine epsilons of it).
 SEED_EXACT_RTOL = 1e-9
+KMEANS_TOL = 1e-6  # relative distortion change that ends Lloyd's iterations
 
 
 @dataclass(frozen=True)
@@ -251,15 +252,14 @@ def kmeans(
     K: int,
     iters: int = 50,
     seed: int = 0,
-    tol: float = 1e-6,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Lloyd's k-means with k-means++ seeding.
 
     After each update, empty clusters are reseeded in index order, each to
     the point farthest from its assigned centroid, which is relabelled.
     Stops after `iters` rounds or when the relative distortion change drops
-    below `tol`.  Returns (centroids, assignments, trace of the objective
-    after each update).
+    below `KMEANS_TOL`.  Returns (centroids, assignments, trace of the
+    objective after each update).
     """
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
@@ -316,7 +316,7 @@ def kmeans(
             far = int(np.argmax(np.sum((data - centroids[assign]) ** 2, axis=1)))
             centroids[k] = data[far]
             assign[far] = k
-        if prev - obj <= tol * max(prev, 1.0):
+        if prev - obj <= KMEANS_TOL * max(prev, 1.0):
             break
         prev = obj
     return centroids, assign, trace

@@ -111,7 +111,8 @@ def test_criterion_04_geo_gradient_finite_differences(toy_setup):
     img = random_ellipse_phantom(PhantomSpec(size=16, n_ellipses=4, seed=3))
     ksp = acquire(img, make_center_mask(16, 0.25))
     state = pipeline_forward(ksp, tok, model)
-    grad = backward_to_kspace(state, check_replay=True)
+    state.tape.replay_check()
+    grad = backward_to_kspace(state)
     offsets = state.frozen_offsets()  # quantization indices frozen (STE)
 
     def loss_at(y):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -98,6 +100,27 @@ class TestPrimitiveAdjoints:
             return ad.channel_norm_vjp(cache, v)[0]
 
         check_vjp(fwd, vjp_in, RNG.standard_normal((6, 6)) * 2 + 1)
+
+    @pytest.mark.parametrize("kind", ["random", "constant", "repeated"])
+    def test_channel_norm_bits_match_inline_formula(self, kind):
+        # the op reads its statistics from `channel_stats`; its output and
+        # cached inverse std keep the bits of the formula written inline
+        rng = np.random.default_rng(77)
+        for _ in range(200):
+            h, w = rng.integers(1, 70, size=2)
+            scale = 10.0 ** rng.uniform(-8, 8)
+            if kind == "random":
+                x = rng.standard_normal((h, w)) * scale + rng.normal() * scale
+            elif kind == "constant":
+                x = np.full((h, w), rng.normal() * scale)
+            else:
+                x = rng.choice(rng.normal(size=3) * scale, size=(h, w))
+            inv = 1.0 / math.sqrt(np.var(x) + 1e-12)
+            z_ref = (x - x.mean()) * inv
+            z, (z_cached, inv_cached) = ad.channel_norm_forward(x)
+            assert z.tobytes() == z_ref.tobytes()
+            assert z_cached is z
+            assert np.float64(inv_cached).tobytes() == np.float64(inv).tobytes()
 
     def test_softmax_grad(self):
         def vjp_in(x, v):

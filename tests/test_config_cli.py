@@ -474,6 +474,7 @@ class TestCLI:
         ("train:\n  noise_sigma: .nan\n", "train: noise sigma"),
         ("train:\n  noise_sigma: .inf\n", "train: noise sigma"),
         ("train:\n  noise_sigma: 1.0e+300\n", "train: noise sigma"),
+        ("tokenizer:\n  D: 100\n", "tokenizer.D"),
         ("acquisition:\n  T: -1\n", "acquisition: step count"),
         ("acquisition:\n  lines_per_step: 0\n", "acquisition: lines_per_step"),
         ("acquisition:\n  noise_sigma: -1.0\n", "acquisition: noise sigma"),
@@ -584,7 +585,7 @@ class TestCLI:
             noise = cfg.train.corruption(cfg.acquisition.rho_c)[1]
         else:
             noise = cfg.acquisition.trajectory("les", 8).noise
-        assert np.all(np.isfinite(noise.draw((4, 4))))
+        assert np.all(np.isfinite(noise.draw((4, 4), np.random.default_rng(0))))
 
     @settings(max_examples=300, deadline=None)
     @given(n_ellipses=st.integers(max_value=20), lo=st.floats(),

@@ -162,6 +162,16 @@ class TestSamplingBudget:
         with pytest.raises(ConfigError):
             sampling_budget(64, 0, 0.04)
 
+    @pytest.mark.parametrize("R", [-1, -0.5, float("nan")])
+    def test_rejects_acceleration_outside_its_domain(self, R):
+        with pytest.raises(ConfigError, match="acceleration"):
+            sampling_budget(64, R, 0.04)
+
+    def test_acceleration_below_one(self):
+        # training draws accelerations below 1; the budget is the formula's
+        assert sampling_budget(64, 0.5, 0.04) == round_half_away(64 * 0.96 / 0.5)
+        assert sampling_budget(64, 0.5, 0.04) == 123
+
     def test_rounding_half_away(self):
         assert round_half_away(12.5) == 13
         assert round_half_away(11.5) == 12
@@ -197,8 +207,10 @@ class TestAcquire:
         rng = np.random.default_rng(7)
         img = random_complex(rng, (8, 8))
         mask = make_center_mask(8, 0.5)
-        a = acquire(img, mask, NoiseSpec(0.0, seed=1).draw(img.shape))
-        b = acquire(img, mask, NoiseSpec(0.0, seed=2).draw(img.shape))
+        a = acquire(img, mask,
+                    NoiseSpec(0.0).draw(img.shape, np.random.default_rng(1)))
+        b = acquire(img, mask,
+                    NoiseSpec(0.0).draw(img.shape, np.random.default_rng(2)))
         assert np.array_equal(a, b)
 
     def test_noise_statistics(self):
@@ -206,7 +218,8 @@ class TestAcquire:
         sigma = 0.5
         mask = SamplingMask(128, np.ones(128, dtype=bool))
         img = np.zeros((128, 128), dtype=complex)
-        ksp = acquire(img, mask, NoiseSpec(sigma, seed=123).draw(img.shape))
+        ksp = acquire(img, mask, NoiseSpec(sigma).draw(img.shape,
+                                                 np.random.default_rng(123)))
         assert ksp.size >= 10**4
         assert abs(np.var(ksp.real) - sigma**2) < 0.05 * sigma**2
         assert abs(np.var(ksp.imag) - sigma**2) < 0.05 * sigma**2
@@ -214,7 +227,8 @@ class TestAcquire:
     def test_noise_only_on_sampled_lines(self):
         mask = make_center_mask(16, 0.25)
         img = np.zeros((16, 16), dtype=complex)
-        ksp = acquire(img, mask, NoiseSpec(1.0, seed=3).draw(img.shape))
+        ksp = acquire(img, mask, NoiseSpec(1.0).draw(img.shape,
+                                               np.random.default_rng(3)))
         assert np.all(ksp[~mask.flags] == 0)
         assert np.all(ksp[mask.flags] != 0)
 

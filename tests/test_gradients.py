@@ -96,7 +96,8 @@ class TestBackwardToKspace:
         img = random_ellipse_phantom(PhantomSpec(size=16, n_ellipses=4, seed=3))
         ksp = acquire(img, make_center_mask(16, 0.25))
         state = pipeline_forward(ksp, tok, model)
-        grad = backward_to_kspace(state, check_replay=True)
+        state.tape.replay_check()
+        grad = backward_to_kspace(state)
         offsets = state.frozen_offsets()
 
         def loss_at(y):
@@ -137,7 +138,7 @@ class TestBackwardToKspace:
         state = pipeline_forward(ksp, tok, model)
         state.tape._values[state.loss_id] = state.tape._values[state.loss_id] + 1
         with pytest.raises(TapeConsistencyError):
-            backward_to_kspace(state, check_replay=True)
+            state.tape.replay_check()
 
     def test_gradient_reported_everywhere(self, toy_setup):
         tok, model = toy_setup

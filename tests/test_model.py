@@ -7,7 +7,7 @@ import pytest
 from tokmri import autodiff as ad
 from tokmri.autodiff import Tape
 from tokmri.errors import ConfigError, ShapeMismatchError, TrainingDivergedError
-from tokmri.fourier import NoiseSpec, make_center_mask
+from tokmri.fourier import NoiseSpec, make_center_mask, round_half_away
 from tokmri.model import (
     LatentTransformer,
     RandomMaskSampler,
@@ -382,6 +382,32 @@ class TestRandomMaskSampler:
             assert mask.flags[32]
             extra = mask.nnz - mask.center_count
             assert 0 <= extra <= round(64 * 0.96 / 2.0) + 1
+
+    def test_masks_match_inline_budget(self):
+        # the sampler takes its budget from `sampling_budget`; its masks
+        # match the budget formula written inline, accelerations below 1
+        # included
+        draws = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(draws.integers(1, 257))
+            rho_c = float(draws.uniform(0.0, 1.0))
+            lo = float(draws.choice([draws.uniform(0.05, 1.0),
+                                     draws.uniform(1.0, 30.0)]))
+            hi = lo * float(draws.uniform(1.0, 20.0))
+            seed = int(draws.integers(2**32))
+            mask = RandomMaskSampler(rho_c, lo, hi)(np.random.default_rng(seed), n)
+
+            rng = np.random.default_rng(seed)
+            R = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+            budget = round_half_away(n * (1.0 - rho_c) / R)
+            expect = make_center_mask(n, rho_c)
+            free = expect.free_indices()
+            take = min(budget, free.size)
+            if take > 0:
+                expect = expect.with_lines(rng.choice(free, size=take,
+                                                      replace=False))
+            assert np.array_equal(mask.flags, expect.flags), (n, rho_c, lo, hi)
+            assert mask.center_count == expect.center_count
 
     @pytest.mark.parametrize("lo, hi", [
         (0.0, 24.0), (-1.0, 24.0), (30.0, 24.0), (1.2, math.inf),

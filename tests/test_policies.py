@@ -266,6 +266,17 @@ class TestPlan:
         with pytest.raises(ConfigError, match="'oracle'"):
             AcquisitionConfig(policy="oracle")
 
+    @pytest.mark.parametrize("key", ["noise_seed", "seed"])
+    @pytest.mark.parametrize("value", [-1, 2**64, 1.5, "3"])
+    def test_seeds_fail_closed(self, key, value):
+        # run_acquisition reads both as uint64; out of range they used to
+        # end in a raw OverflowError there
+        with pytest.raises(ConfigError, match=key):
+            AcquisitionConfig(**{key: value})
+
+    def test_seeds_accept_the_uint64_range(self):
+        AcquisitionConfig(noise_seed=2**64 - 1, seed=np.int64(0))
+
 
 class TestRunAcquisition:
     def _setup(self, toy_setup):
@@ -334,7 +345,7 @@ class TestRunAcquisition:
         # with sigma > 0 the same physical line keeps its value across steps
         img, tok, model = self._setup(toy_setup)
         cfg = AcquisitionConfig(R=2, rho_c=0.25, T=3, policy="random",
-                                noise=NoiseSpec(0.05, seed=9), seed=4)
+                                noise=NoiseSpec(0.05), noise_seed=9, seed=4)
         traj = run_acquisition(img, cfg, model, tok)
         assert traj.final_mask.nnz > traj.final_mask.center_count
 
@@ -354,7 +365,7 @@ class TestRunAcquisition:
         monkeypatch.setattr(fourier, "forward_fft", counting_fft)
         monkeypatch.setattr(policies, "forward_fft", counting_fft)
         cfg = AcquisitionConfig(R=2, rho_c=0.25, T=3, policy=policy,
-                                noise=NoiseSpec(0.05, seed=9), seed=4)
+                                noise=NoiseSpec(0.05), noise_seed=9, seed=4)
         traj = run_acquisition(img, cfg, model, tok)
         assert len(traj.steps) == 3
         assert sum(calls) == 1
@@ -363,11 +374,11 @@ class TestRunAcquisition:
         # the trajectory masks one noisy k-space; `acquire` with the same
         # noise field gives the same measurement bit for bit
         img, tok, model = self._setup(toy_setup)
-        noise = NoiseSpec(0.05, seed=9)
+        noise = NoiseSpec(0.05)
         cfg = AcquisitionConfig(R=2, rho_c=0.25, T=3, policy="les",
-                                noise=noise, seed=4)
+                                noise=noise, noise_seed=9, seed=4)
         traj = run_acquisition(img, cfg, model, tok)
-        field = NoiseSpec(0.05, seed=9 ^ 4).draw(img.shape)
+        field = noise.draw(img.shape, np.random.default_rng(9 ^ 4))
         ksp = acquire(img, traj.final_mask, noise_field=field)
         zf = tokenize_image(tok, zero_fill(ksp))
         recon = _reconstruct_from_logits(
