@@ -2,7 +2,8 @@
 
 The pipeline is a fixed composition of a handful of primitives (affine maps,
 layer norm, softmax attention, GELU feed-forward, the centered unitary FFT,
-complex split, and the straight-through quantizer), so instead of a generic
+the split of a complex image into its stacked real and imaginary channels,
+and the straight-through quantizer), so instead of a generic
 scalar autodiff we record composite nodes with hand-derived adjoints on a
 :class:`Tape`.  Every op is one pair of plain functions, ``forward(*inputs,
 **static) -> (out, cache)`` and ``vjp(cache, g)``, which returns one gradient
@@ -38,6 +39,7 @@ from .tokenizer import (
     channel_stats,
     nearest_entry_indices,
     patchify,
+    split_channels,
     unpatchify,
 )
 
@@ -108,16 +110,19 @@ def layer_norm_vjp(cache, g, needs=(True, True, True)):
 
 
 def channel_norm_forward(x):
-    """Whole-array normalization to zero mean, unit std (no affine)."""
-    s = channel_stats(x)
-    inv = 1.0 / s.std
-    z = (x - s.mean) * inv
+    """Normalization of each (H, W) channel of `x` to zero mean, unit std
+    (no affine)."""
+    mean, std = channel_stats(x).broadcast()
+    inv = 1.0 / std
+    z = (x - mean) * inv
     return z, (z, inv)
 
 
 def channel_norm_vjp(cache, g):
     z, inv = cache
-    return (inv * (g - g.mean() - z * np.mean(g * z)),)
+    axes = (-2, -1)
+    return (inv * (g - g.mean(axis=axes, keepdims=True)
+                   - z * np.mean(g * z, axis=axes, keepdims=True)),)
 
 
 def softmax(z, out=None):
@@ -453,7 +458,7 @@ def _shift(lat, offset):
 
 
 def _patchify(x, p):
-    return patchify(x, p), (x.shape[0] // p, x.shape[1] // p, p)
+    return patchify(x, p), (x.shape[-2] // p, x.shape[-1] // p, p)
 
 
 def _patchify_vjp(cache, g):
@@ -470,20 +475,22 @@ def _ifft2c_vjp(cache, g):
     return (forward_fft(np.asarray(g, dtype=np.complex128)),)
 
 
-def _real(x):
-    return np.ascontiguousarray(x.real), None
+def _split(x):
+    return split_channels(x), None
 
 
-def _real_vjp(cache, g):
-    return (g.astype(np.complex128),)
+def _split_vjp(cache, g):
+    # each channel's partials, combined as g_re + 1j * g_im
+    g = g.astype(np.complex128)
+    return (1j * g[..., 1, :, :] + g[..., 0, :, :],)
 
 
-def _imag(x):
-    return np.ascontiguousarray(x.imag), None
+def _stream_sum(x):
+    return x[..., 0, :, :] + x[..., 1, :, :], None
 
 
-def _imag_vjp(cache, g):
-    return (1j * g.astype(np.complex128),)
+def _stream_sum_vjp(cache, g):
+    return (np.stack((g, g), axis=-3),)
 
 
 def t_add(tape: Tape, a: int, b: int, name="add") -> int:
@@ -552,9 +559,11 @@ def t_ifft2c(tape: Tape, y: int, name="ifft2c") -> int:
     return tape.apply(name, _ifft2c, _ifft2c_vjp, (y,))
 
 
-def t_real(tape: Tape, x: int, name="real_part") -> int:
-    return tape.apply(name, _real, _real_vjp, (x,))
+def t_split(tape: Tape, x: int, name="split") -> int:
+    """Complex (..., H, W) to its (..., 2, H, W) real and imaginary stack."""
+    return tape.apply(name, _split, _split_vjp, (x,))
 
 
-def t_imag(tape: Tape, x: int, name="imag_part") -> int:
-    return tape.apply(name, _imag, _imag_vjp, (x,))
+def t_stream_sum(tape: Tape, x: int, name="stream_sum") -> int:
+    """Sum of the two streams of a (..., 2, L, D) stack."""
+    return tape.apply(name, _stream_sum, _stream_sum_vjp, (x,))

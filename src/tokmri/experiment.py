@@ -38,7 +38,13 @@ from .storage import (
     write_json,
     write_npz,
 )
-from .tokenizer import Tokenizer, channel_stats, normalize_channel, train_tokenizer
+from .tokenizer import (
+    Tokenizer,
+    channel_stats,
+    normalize_channel,
+    split_channels,
+    train_tokenizer,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +227,8 @@ def cmd_train(cfg: ExperimentConfig) -> TrainResult:
 
     # tokenizer sees per-image-normalized channels, like the encoder will
     tok, tok_report = train_tokenizer(
-        (normalize_channel(ch, channel_stats(ch))
-         for img in images for ch in (img.real, img.imag)),
+        (normalize_channel(x, channel_stats(x))
+         for x in map(split_channels, images)),
         K=cfg.tokenizer.K,
         D=cfg.tokenizer.D,
         p=cfg.tokenizer.p,

@@ -90,10 +90,6 @@ class SamplingMask:
         flags[np.asarray(lines, dtype=int)] = True
         return SamplingMask(self.num_lines, flags, self.center_count)
 
-    def contains(self, other: "SamplingMask") -> bool:
-        """True when every line of `other` is also flagged here."""
-        return bool(np.all(self.flags | ~other.flags))
-
     def apply(self, ksp: np.ndarray) -> np.ndarray:
         """Zero out unsampled lines.  Idempotent projection."""
         if ksp.shape[0] != self.num_lines:

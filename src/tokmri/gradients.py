@@ -3,12 +3,14 @@
 This is the scoring core of the gradient-driven selection policy: record the
 composed forward pass
 
-    k-space -> zero-fill -> split re/im -> normalize -> encode ->
-    STE-quantize -> fuse -> transformer -> total token entropy
+    k-space -> zero-fill -> split into a (2, H, W) re/im stack ->
+    normalize -> encode -> STE-quantize -> fuse -> transformer ->
+    total token entropy
 
-on a tape, then sweep it backwards.  The quantizer contributes an identity
-Jacobian (straight-through); the inverse-FFT node's adjoint is the forward
-FFT under the unitary centered convention.
+on a tape, then sweep it backwards.  One node carries both channels from the
+split to the fuse.  The quantizer contributes an identity Jacobian
+(straight-through); the inverse-FFT node's adjoint is the forward FFT under
+the unitary centered convention.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape
 from .errors import InvalidInputError
-from .model import LatentTransformer, build_forward
+from .model import STREAMS, LatentTransformer, build_forward
 from .tokenizer import ChannelStats, Tokenizer, channel_stats
 
 
@@ -30,27 +32,23 @@ class PipelineState:
 
     tape: Tape
     y_id: int
-    lat_re_id: int
-    lat_im_id: int
-    q_re_id: int
-    q_im_id: int
+    lat_id: int  # the (2, L, D) latents of both channels
+    q_id: int    # and their snapped values
     loss_id: int
-    logits: tuple[np.ndarray, np.ndarray]  # (re, im), each (L, K)
-    stats: tuple[ChannelStats, ChannelStats]  # (re, im)
+    logits: np.ndarray  # (2, L, K), in `STREAMS` order
+    stats: ChannelStats
     loss: float
 
-    def frozen_offsets(self) -> tuple[np.ndarray, np.ndarray]:
+    def frozen_offsets(self) -> np.ndarray:
         """Snap offsets (snapped - latent) at this state's forward values."""
-        off_re = self.tape.val(self.q_re_id) - self.tape.val(self.lat_re_id)
-        off_im = self.tape.val(self.q_im_id) - self.tape.val(self.lat_im_id)
-        return off_re, off_im
+        return self.tape.val(self.q_id) - self.tape.val(self.lat_id)
 
 
 def pipeline_forward(
     ksp: np.ndarray,
     tokenizer: Tokenizer,
     model: LatentTransformer,
-    frozen_offsets: tuple[np.ndarray, np.ndarray] | None = None,
+    frozen_offsets: np.ndarray | None = None,
 ) -> PipelineState:
     """Record the full measurement-to-entropy forward pass.
 
@@ -63,41 +61,32 @@ def pipeline_forward(
     tape = Tape()
     y_id = tape.source(ksp, "y")
     x_id = ad.t_ifft2c(tape, y_id)
-    ch_ids = (ad.t_real(tape, x_id), ad.t_imag(tape, x_id))
+    ch_id = ad.t_split(tape, x_id)
 
     enc_wt = tape.source(tokenizer.enc_w.T, "enc_w_t")
     enc_b = tape.source(tokenizer.enc_b, "enc_b")
-
-    lat_ids = []
-    q_ids = []
-    for k, ch_id in enumerate(ch_ids):
-        z_id = ad.t_channel_norm(tape, ch_id)
-        patches_id = ad.t_patchify(tape, z_id, tokenizer.p)
-        lat_id = ad.t_affine(tape, patches_id, enc_wt, enc_b, name="encode")
-        lat_ids.append(lat_id)
-        if frozen_offsets is None:
-            q_id = ad.t_ste_quantize(tape, lat_id, tokenizer.codebook)
-        else:
-            q_id = ad.t_frozen_shift(tape, lat_id, frozen_offsets[k])
-        q_ids.append(q_id)
+    z_id = ad.t_channel_norm(tape, ch_id)
+    patches_id = ad.t_patchify(tape, z_id, tokenizer.p)
+    lat_id = ad.t_affine(tape, patches_id, enc_wt, enc_b, name="encode")
+    if frozen_offsets is None:
+        q_id = ad.t_ste_quantize(tape, lat_id, tokenizer.codebook)
+    else:
+        q_id = ad.t_frozen_shift(tape, lat_id, frozen_offsets)
 
     pids = model.source_params(tape)
-    lre, lim = build_forward(tape, pids, model.cfg, q_ids[0], q_ids[1])
-    h_re = ad.t_entropy_sum(tape, lre, name="entropy_re")
-    h_im = ad.t_entropy_sum(tape, lim, name="entropy_im")
-    loss_id = ad.t_add(tape, h_re, h_im, name="total_entropy")
+    heads = build_forward(tape, pids, model.cfg, q_id)
+    h = [ad.t_entropy_sum(tape, logits, name=f"entropy_{s}")
+         for s, logits in zip(STREAMS, heads)]
+    loss_id = ad.t_add(tape, *h, name="total_entropy")
 
     return PipelineState(
         tape=tape,
         y_id=y_id,
-        lat_re_id=lat_ids[0],
-        lat_im_id=lat_ids[1],
-        q_re_id=q_ids[0],
-        q_im_id=q_ids[1],
+        lat_id=lat_id,
+        q_id=q_id,
         loss_id=loss_id,
-        logits=(tape.val(lre), tape.val(lim)),
-        stats=(channel_stats(tape.val(ch_ids[0])),
-               channel_stats(tape.val(ch_ids[1]))),
+        logits=np.stack([tape.val(logits) for logits in heads]),
+        stats=channel_stats(tape.val(ch_id)),
         loss=float(tape.val(loss_id)),
     )
 

@@ -1,6 +1,6 @@
-"""Latent transformer: fuses the two token streams and predicts, for every
-latent position, the logits of a categorical distribution over codebook
-indices for the real and the imaginary stream.
+"""Latent transformer: fuses the two token streams of a (2, L, D) stack and
+predicts, for every latent position, the logits of a categorical
+distribution over codebook indices for the real and the imaginary stream.
 
 The trunk is a small pre-norm transformer with full bidirectional
 self-attention (the task is token in-painting from a corrupted full
@@ -49,7 +49,10 @@ from .tokenizer import (
     channel_stats,
     denormalize_channel,
     normalize_channel,
+    split_channels,
 )
+
+STREAMS = ("re", "im")  # the order of the (2, ...) stream axis
 
 
 @dataclass(frozen=True)
@@ -73,58 +76,50 @@ class TransformerConfig:
 
 def predicted_tokens(logits: np.ndarray, cb: Codebook,
                      grid_h: int, grid_w: int) -> LatentGrid:
-    """Most probable index per position -> codebook rows.
+    """Most probable index per position of (..., L, K) logits -> codebook
+    rows.
 
     The argmax reads the softmax, not the logits: distinct logits can round
     to equal probabilities, and then the lowest index wins.
     """
-    if logits.shape[1] != cb.K:
+    if logits.shape[-1] != cb.K:
         raise ShapeMismatchError(
-            f"prediction K={logits.shape[1]} != codebook K={cb.K}"
+            f"prediction K={logits.shape[-1]} != codebook K={cb.K}"
         )
-    indices = np.argmax(ad.softmax(logits), axis=1)
+    indices = np.argmax(ad.softmax(logits), axis=-1)
     return LatentGrid(cb.entries[indices], grid_h, grid_w)
 
 
-def reconstruct(
-    tokenizer: Tokenizer,
-    q_re: LatentGrid,
-    q_im: LatentGrid,
-    stats_re: ChannelStats,
-    stats_im: ChannelStats,
-) -> np.ndarray:
-    """Decode both streams and recombine into a complex image.
+def reconstruct(tokenizer: Tokenizer, q: LatentGrid,
+                stats: ChannelStats) -> np.ndarray:
+    """Decode the (2, L, D) stream stack and recombine it into a complex
+    image.
 
     Undoes the per-image channel normalization that was applied before
     encoding.
     """
-    re = denormalize_channel(tokenizer.decode(q_re), stats_re)
-    im = denormalize_channel(tokenizer.decode(q_im), stats_im)
+    re, im = denormalize_channel(tokenizer.decode(q), stats)
     return re + 1j * im
 
 
 @dataclass(frozen=True)
 class TokenizedImage:
-    """Both channels of one complex image pushed through the tokenizer."""
+    """Both channels of one complex image pushed through the tokenizer:
+    the snapped (2, L, D) latents, their (2, L) indices and the channels'
+    statistics."""
 
-    q_re: LatentGrid
-    q_im: LatentGrid
-    idx_re: np.ndarray
-    idx_im: np.ndarray
-    stats_re: ChannelStats
-    stats_im: ChannelStats
+    q: LatentGrid
+    idx: np.ndarray
+    stats: ChannelStats
 
 
 def tokenize_image(tokenizer: Tokenizer, img: np.ndarray) -> TokenizedImage:
     """Normalize, encode and quantize the re/im channels of an image."""
-    img = np.asarray(img, dtype=np.complex128)
-    stats_re = channel_stats(img.real)
-    stats_im = channel_stats(img.imag)
-    lat_re = tokenizer.encode(normalize_channel(img.real, stats_re))
-    lat_im = tokenizer.encode(normalize_channel(img.imag, stats_im))
-    idx_re, q_re = tokenizer.quantize(lat_re)
-    idx_im, q_im = tokenizer.quantize(lat_im)
-    return TokenizedImage(q_re, q_im, idx_re, idx_im, stats_re, stats_im)
+    channels = split_channels(img)
+    stats = channel_stats(channels)
+    idx, q = tokenizer.quantize(tokenizer.encode(
+        normalize_channel(channels, stats)))
+    return TokenizedImage(q, idx, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +139,10 @@ def param_spec(cfg: TransformerConfig, latent_dim: int, seq_len: int,
         "pos": ((seq_len, E), "normal"),
         "final.gamma": ((E,), "ones"),
         "final.beta": ((E,), "zeros"),
-        "head_re.w": ((E, codebook_size), "zeros"),
-        "head_re.b": ((codebook_size,), "zeros"),
-        "head_im.w": ((E, codebook_size), "zeros"),
-        "head_im.b": ((codebook_size,), "zeros"),
     }
+    for stream in STREAMS:
+        spec[f"head_{stream}.w"] = ((E, codebook_size), "zeros")
+        spec[f"head_{stream}.b"] = ((codebook_size,), "zeros")
     for i in range(cfg.layers):
         pre = f"layer{i}."
         spec[pre + "ln1.gamma"] = ((E,), "ones")
@@ -180,14 +174,16 @@ def init_params(cfg: TransformerConfig, latent_dim: int, seq_len: int,
 
 
 def build_forward(tape: Tape, pids: dict[str, int], cfg: TransformerConfig,
-                  q_re_id: int, q_im_id: int) -> tuple[int, int]:
-    """Record the full trunk on `tape`; returns (logits_re_id, logits_im_id).
+                  q_id: int) -> tuple[int, ...]:
+    """Record the full trunk on the (..., 2, L, D) stream stack `q_id`;
+    returns the ids of the (..., L, K) logits of each stream, in `STREAMS`
+    order.
 
     `pids` maps parameter names to tape source ids, so the same builder
     serves parameter gradients (training) and input gradients (line
     scoring).
     """
-    summed = ad.t_add(tape, q_re_id, q_im_id, name="stream_sum")
+    summed = ad.t_stream_sum(tape, q_id)
     fused = ad.t_layer_norm(tape, summed, pids["fuse.gamma"],
                             pids["fuse.beta"], name="fuse")
     x = ad.t_affine(tape, fused, pids["input.w"], pids["input.b"],
@@ -214,11 +210,8 @@ def build_forward(tape: Tape, pids: dict[str, int], cfg: TransformerConfig,
         x = ad.t_add(tape, x, f, name=pre + "res2")
     xf = ad.t_layer_norm(tape, x, pids["final.gamma"], pids["final.beta"],
                          name="final_ln")
-    logits_re = ad.t_affine(tape, xf, pids["head_re.w"], pids["head_re.b"],
-                            name="head_re")
-    logits_im = ad.t_affine(tape, xf, pids["head_im.w"], pids["head_im.b"],
-                            name="head_im")
-    return logits_re, logits_im
+    return tuple(ad.t_affine(tape, xf, pids[f"head_{s}.w"], pids[f"head_{s}.b"],
+                             name=f"head_{s}") for s in STREAMS)
 
 
 class LatentTransformer:
@@ -241,30 +234,22 @@ class LatentTransformer:
     def source_params(self, tape: Tape) -> dict[str, int]:
         return {name: tape.source(val, name) for name, val in self.params.items()}
 
-    def _check_geometry(self, q_re: LatentGrid, q_im: LatentGrid):
-        if (q_re.L, q_re.D) != (q_im.L, q_im.D):
-            raise ShapeMismatchError("stream geometries differ")
-        if q_re.L != self.seq_len or q_re.D != self.latent_dim:
-            raise ShapeMismatchError(
-                f"model expects L={self.seq_len}, D={self.latent_dim}; "
-                f"got L={q_re.L}, D={q_re.D}"
-            )
-
-    def predict(self, q_re: LatentGrid, q_im: LatentGrid
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """(L, K) logits of the real and the imaginary stream; deterministic
-        given weights and inputs.
+    def predict(self, q: LatentGrid) -> np.ndarray:
+        """(2, L, K) logits of the real and the imaginary stream of the
+        (2, L, D) stream stack `q`; deterministic given weights and inputs.
 
         Runs `build_forward` on a non-recording tape: only the logits are
         needed, so no backward cache is kept.
         """
-        self._check_geometry(q_re, q_im)
+        expect = (len(STREAMS), self.seq_len, self.latent_dim)
+        if q.vectors.shape != expect:
+            raise ShapeMismatchError(
+                f"model expects streams of shape {expect}; "
+                f"got {q.vectors.shape}")
         tape = Tape(record=False)
         pids = self.source_params(tape)
-        rid = tape.source(q_re.vectors, "q_re")
-        iid = tape.source(q_im.vectors, "q_im")
-        lre, lim = build_forward(tape, pids, self.cfg, rid, iid)
-        return tape.val(lre), tape.val(lim)
+        heads = build_forward(tape, pids, self.cfg, tape.source(q.vectors, "q"))
+        return np.stack([tape.val(h) for h in heads])
 
     # -- persistence --------------------------------------------------------
 
@@ -292,8 +277,9 @@ class LatentTransformer:
         `read_model_manifest`, read here when not given.
 
         A tensor that is missing from or extra to `param_spec`, a shape that
-        differs from it, a blob of the wrong byte length and NaN or Inf
-        values raise InvalidInputError naming the file and the tensor.
+        differs from it, a "file" that is not the plain name of a file in
+        the directory, a blob of the wrong byte length and NaN or Inf values
+        raise InvalidInputError naming the file and the tensor.
         """
         directory = Path(directory)
         if manifest is None:
@@ -318,7 +304,11 @@ class LatentTransformer:
                 raise InvalidInputError(f"{path}: tensor {name!r} has shape "
                                         f"{meta.get('shape')!r}, expected "
                                         f"{list(shape)}")
-            blob = directory / meta["file"]
+            fname = meta["file"]
+            blob = directory / fname
+            if Path(fname).name != fname or not blob.is_file():
+                raise InvalidInputError(f"{path}: tensor {name!r} names "
+                                        f"{fname!r}, not a file in {directory}")
             params[name] = decode_floats(blob.read_bytes(), shape,
                                          f"{blob}: tensor {name!r}")
         return cls(manifest["config"], params, *geometry)
@@ -443,23 +433,22 @@ def _adam_step(params, grads, state: AdamState, lr, beta1=0.9, beta2=0.999,
         params[name] -= step
 
 
-def batch_loss_and_grads(model: LatentTransformer, q_re: np.ndarray,
-                         q_im: np.ndarray, idx_re: np.ndarray,
-                         idx_im: np.ndarray
+def batch_loss_and_grads(model: LatentTransformer, q: np.ndarray,
+                         idx: np.ndarray
                          ) -> tuple[float, dict[str, np.ndarray]]:
     """Summed stream cross-entropies and parameter gradients.
 
-    Inputs may be a single example (L, D)/(L,) or a stacked batch
-    (B, L, D)/(B, L); the loss is the per-token mean either way.
+    Inputs may be a single example's stream stack (2, L, D) and indices
+    (2, L), or a batch of them (B, 2, L, D)/(B, 2, L); each stream's loss
+    is its per-token mean either way.
     """
     tape = Tape()
     pids = model.source_params(tape)
-    rid = tape.source(q_re, "q_re")
-    iid = tape.source(q_im, "q_im")
-    lre, lim = build_forward(tape, pids, model.cfg, rid, iid)
-    ce_re = ad.t_cross_entropy(tape, lre, idx_re, name="ce_re")
-    ce_im = ad.t_cross_entropy(tape, lim, idx_im, name="ce_im")
-    loss_id = ad.t_add(tape, ce_re, ce_im, name="loss")
+    heads = build_forward(tape, pids, model.cfg, tape.source(q, "q"))
+    idx = np.asarray(idx)
+    ce = [ad.t_cross_entropy(tape, logits, idx[..., k, :], name=f"ce_{s}")
+          for k, (s, logits) in enumerate(zip(STREAMS, heads))]
+    loss_id = ad.t_add(tape, *ce, name="loss")
     loss = float(tape.val(loss_id))
     grads = tape.backward(loss_id, seed=np.float64(1.0),
                           wrt=tuple(pids.values()))
@@ -497,7 +486,7 @@ def train_model(
 
     # fully-sampled token targets are fixed; compute once
     targets = [tokenize_image(tokenizer, img) for img in images]
-    seq_len = targets[0].q_re.L
+    seq_len = targets[0].q.L
 
     state = resume
     if state is None:
@@ -518,23 +507,18 @@ def train_model(
         step = 0
         for lo in range(0, len(order), batch_size):
             batch = order[lo : lo + batch_size]
-            q_re, q_im, idx_re, idx_im = [], [], [], []
-            for idx in batch:
-                img = images[int(idx)]
+            qs, idxs = [], []
+            for i in batch:
+                img = images[int(i)]
                 mask = mask_sampler(rng, num_lines)
                 eta = noise.draw(img.shape, rng)
                 zf = tokenize_image(
                     tokenizer, zero_fill(acquire(img, mask, noise_field=eta))
                 )
-                q_re.append(zf.q_re.vectors)
-                q_im.append(zf.q_im.vectors)
-                tgt = targets[int(idx)]
-                idx_re.append(tgt.idx_re)
-                idx_im.append(tgt.idx_im)
-            loss, pgrads = batch_loss_and_grads(
-                model, np.stack(q_re), np.stack(q_im),
-                np.stack(idx_re), np.stack(idx_im),
-            )
+                qs.append(zf.q.vectors)
+                idxs.append(targets[int(i)].idx)
+            loss, pgrads = batch_loss_and_grads(model, np.stack(qs),
+                                                np.stack(idxs))
             mean_token_ce = loss / 2.0
             if not np.isfinite(mean_token_ce):
                 raise TrainingDivergedError(

@@ -1,5 +1,5 @@
-"""Synthetic ground truth: the Shepp-Logan head and randomized ellipse
-phantoms, plus deterministic dataset splits.
+"""Synthetic ground truth: randomized ellipse phantoms, plus deterministic
+dataset splits.
 
 All generation is a pure function of (spec, seed).  Phantoms are complex:
 the magnitude comes from summed ellipses and the optional phase is a smooth
@@ -16,21 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-
-# Canonical ten-ellipse head phantom: (x0, y0, a, b, theta_deg, intensity).
-# Intensities are additive; the interior ellipses subtract from the skull.
-SHEPP_LOGAN_ELLIPSES = (
-    (0.0, 0.0, 0.69, 0.92, 0.0, 1.0),
-    (0.0, -0.0184, 0.6624, 0.874, 0.0, -0.98),
-    (0.22, 0.0, 0.11, 0.31, -18.0, -0.02),
-    (-0.22, 0.0, 0.16, 0.41, 18.0, -0.02),
-    (0.0, 0.35, 0.21, 0.25, 0.0, 0.01),
-    (0.0, 0.1, 0.046, 0.046, 0.0, 0.01),
-    (0.0, -0.1, 0.046, 0.046, 0.0, 0.01),
-    (-0.08, -0.605, 0.046, 0.023, 0.0, 0.01),
-    (0.0, -0.606, 0.023, 0.023, 0.0, 0.01),
-    (0.06, -0.605, 0.023, 0.046, 0.0, 0.01),
-)
 
 
 def _pixel_grid(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -54,13 +39,6 @@ def render_ellipses(size: int, ellipses) -> np.ndarray:
     for (x0, y0, a, b, theta, value) in ellipses:
         img += np.where(ellipse_membership(x, y, x0, y0, a, b, theta), value, 0.0)
     return img
-
-
-def shepp_logan(size: int) -> np.ndarray:
-    """Shepp-Logan head phantom as a complex image with zero imaginary part."""
-    if size < 16:
-        raise ConfigError(f"phantom size must be >= 16, got {size}")
-    return render_ellipses(size, SHEPP_LOGAN_ELLIPSES).astype(np.complex128)
 
 
 @dataclass(frozen=True)

@@ -110,13 +110,11 @@ class AcquisitionTrajectory:
     reconstruction: np.ndarray
 
 
-def patch_entropy(logits_re: np.ndarray, logits_im: np.ndarray,
-                  grid_h: int, grid_w: int) -> np.ndarray:
+def patch_entropy(logits: np.ndarray, grid_h: int, grid_w: int) -> np.ndarray:
     """Per-position entropy (nats) of the softmax of each stream's (L, K)
-    logits, summed over both streams, on the grid."""
-    _, (_, _, h_re) = ad.entropy_sum_from_logits(logits_re)
-    _, (_, _, h_im) = ad.entropy_sum_from_logits(logits_im)
-    h = h_re + h_im
+    logits in the (2, L, K) stack, summed over both streams, on the grid."""
+    _, (_, _, h) = ad.entropy_sum_from_logits(logits)
+    h = h[0] + h[1]
     if h.size != grid_h * grid_w:
         raise ShapeMismatchError(
             f"{h.size} positions do not fill a {grid_h}×{grid_w} grid"
@@ -151,10 +149,10 @@ def upsample_bilinear(h: np.ndarray, H: int, W: int) -> np.ndarray:
     return _axis_lerp(_axis_lerp(h, H, axis=0), W, axis=1)
 
 
-def entropy_map(logits_re: np.ndarray, logits_im: np.ndarray,
-                grid_h: int, grid_w: int, H: int, W: int) -> np.ndarray:
+def entropy_map(logits: np.ndarray, grid_h: int, grid_w: int,
+                H: int, W: int) -> np.ndarray:
     """|FFT| of the patch entropy map upsampled to the (H, W) image."""
-    h = patch_entropy(logits_re, logits_im, grid_h, grid_w)
+    h = patch_entropy(logits, grid_h, grid_w)
     return np.abs(forward_fft(upsample_bilinear(h, H, W)))
 
 
@@ -208,15 +206,13 @@ def oracle_reconstruct(ground_truth: np.ndarray,
     better than this on average.
     """
     tokens = tokenize_image(tokenizer, ground_truth)
-    return reconstruct(tokenizer, tokens.q_re, tokens.q_im,
-                       tokens.stats_re, tokens.stats_im)
+    return reconstruct(tokenizer, tokens.q, tokens.stats)
 
 
 def _reconstruct_from_logits(tokenizer, logits, stats, grid):
-    """Decode the most likely tokens of the (re, im) `logits` pair."""
-    q_re, q_im = (predicted_tokens(lg, tokenizer.codebook, *grid)
-                  for lg in logits)
-    return reconstruct(tokenizer, q_re, q_im, *stats)
+    """Decode the most likely tokens of the (2, L, K) `logits`."""
+    q = predicted_tokens(logits, tokenizer.codebook, *grid)
+    return reconstruct(tokenizer, q, stats)
 
 
 def run_acquisition(
@@ -241,7 +237,7 @@ def run_acquisition(
     def predict(ksp):
         """The logits and channel statistics of the zero-filled `ksp`."""
         zf = tokenize_image(tokenizer, zero_fill(ksp))
-        return model.predict(zf.q_re, zf.q_im), (zf.stats_re, zf.stats_im)
+        return model.predict(zf.q), zf.stats
 
     mask, remaining, per_step = cfg.plan(H)
     steps = []
@@ -266,7 +262,7 @@ def run_acquisition(
         else:
             logits, stats = predict(ksp)
             if cfg.policy == "les":
-                scores = entropy_map(*logits, *grid, H, W).mean(axis=1)
+                scores = entropy_map(logits, *grid, H, W).mean(axis=1)
                 lines = les_select(scores, mask, n_t)
             else:
                 scores = None

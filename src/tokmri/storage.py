@@ -10,7 +10,8 @@ CTNS layout (all little-endian):
     bytes 4..7   version  (u32, currently 1)
     bytes 8..11  H        (u32)
     bytes 12..15 W        (u32)
-    byte  16     dtype    (u8: 0 = float32 pairs, 1 = float64 pairs)
+    byte  16     dtype    (u8: 0 = float32 pairs, 1 = float64 pairs;
+                           `save_ctns` writes 1, `load_ctns` reads both)
     payload      H*W interleaved (re, im) pairs, row-major
 """
 
@@ -133,18 +134,17 @@ def read_npz(path: str | Path) -> dict[str, np.ndarray]:
         raise InvalidInputError(f"{path}: not an npz archive: {exc}") from None
 
 
-def save_ctns(path: str | Path, data: np.ndarray, dtype: str = "float64") -> None:
-    """Store a 2D complex (or real) array as a CTNS file."""
+def save_ctns(path: str | Path, data: np.ndarray) -> None:
+    """Store a 2D complex (or real) array as a CTNS file of float64 pairs."""
     arr = np.asarray(data)
     if arr.ndim != 2:
         raise InvalidInputError(f"CTNS stores 2D arrays, got shape {arr.shape}")
     arr = arr.astype(np.complex128)
     h, w = arr.shape
-    code, fdtype = (0, "<f4") if dtype == "float32" else (1, "<f8")
-    pairs = np.empty((h, w, 2), dtype=fdtype)
+    pairs = np.empty((h, w, 2), dtype="<f8")
     pairs[..., 0] = arr.real
     pairs[..., 1] = arr.imag
-    payload = _HEADER.pack(MAGIC, VERSION, h, w, code) + pairs.tobytes(order="C")
+    payload = _HEADER.pack(MAGIC, VERSION, h, w, 1) + pairs.tobytes(order="C")
     atomic_write_bytes(path, payload)
 
 

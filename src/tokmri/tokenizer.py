@@ -1,9 +1,11 @@
 """Patch tokenizer: affine encoder/decoder plus a k-means codebook.
 
-One tokenizer serves both the real and imaginary channels.  The encoder and
-decoder are single affine maps per patch, fit by least squares (PCA), which
-keeps the quantizer's gradient path analyzable while exposing the full
-encode / quantize / decode interface the rest of the pipeline needs.
+One tokenizer serves both the real and imaginary channels.  A complex image
+becomes a (..., 2, H, W) real stack in `split_channels`, and every function
+here takes any leading axes, so both channels are normalized, encoded,
+quantized and decoded in one call.  The encoder and decoder are single
+affine maps per patch, fit by least squares (PCA), which keeps the
+quantizer's gradient path analyzable.
 
 Channels are normalized to zero mean, unit std per image before encoding;
 the stats are returned so reconstruction can invert them.
@@ -12,7 +14,6 @@ the stats are returned so reconstruction can invert them.
 from __future__ import annotations
 
 import base64
-import binascii
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,15 +66,16 @@ class Codebook:
 
 @dataclass(frozen=True)
 class LatentGrid:
-    """L×D latent vectors laid out on a (grid_h, grid_w) patch grid."""
+    """L×D latent vectors laid out on a (grid_h, grid_w) patch grid, for
+    each index of any leading axes."""
 
-    vectors: np.ndarray  # (L, D)
+    vectors: np.ndarray  # (..., L, D)
     grid_h: int
     grid_w: int
 
     def __post_init__(self):
         vectors = np.asarray(self.vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[0] != self.grid_h * self.grid_w:
+        if vectors.ndim < 2 or vectors.shape[-2] != self.grid_h * self.grid_w:
             raise ShapeMismatchError(
                 f"latent vectors {vectors.shape} do not match grid "
                 f"{self.grid_h}×{self.grid_w}"
@@ -82,65 +84,85 @@ class LatentGrid:
 
     @property
     def L(self) -> int:
-        return self.vectors.shape[0]
+        return self.vectors.shape[-2]
 
     @property
     def D(self) -> int:
-        return self.vectors.shape[1]
+        return self.vectors.shape[-1]
+
+
+def split_channels(img: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of complex (..., H, W) images as one
+    (..., 2, H, W) float64 stack."""
+    img = np.asarray(img, dtype=np.complex128)
+    return np.stack((img.real, img.imag), axis=-3)
 
 
 @dataclass(frozen=True)
 class ChannelStats:
-    """Per-image normalization record: x_norm = (x - mean) / std."""
+    """Per-image normalization record: x_norm = (x - mean) / std.
 
-    mean: float
-    std: float
+    `mean` and `std` hold one value per (H, W) channel, in arrays of the
+    channels' leading shape.
+    """
+
+    mean: np.ndarray
+    std: np.ndarray
+
+    def broadcast(self) -> tuple[np.ndarray, np.ndarray]:
+        """`mean` and `std` shaped to broadcast over (..., H, W) channels."""
+        return (np.asarray(self.mean, dtype=np.float64)[..., None, None],
+                np.asarray(self.std, dtype=np.float64)[..., None, None])
 
 
-def channel_stats(channel: np.ndarray) -> ChannelStats:
-    """Population mean/std of one real channel, std floored away from zero."""
-    x = np.asarray(channel, dtype=np.float64)
-    mu = float(np.mean(x))
-    std = float(np.sqrt(np.var(x) + CHANNEL_NORM_EPS))
+def channel_stats(channels: np.ndarray) -> ChannelStats:
+    """Population mean/std of each real channel over its last two axes, std
+    floored away from zero."""
+    x = np.asarray(channels, dtype=np.float64)
+    mu = np.mean(x, axis=(-2, -1))
+    std = np.sqrt(np.var(x, axis=(-2, -1)) + CHANNEL_NORM_EPS)
     return ChannelStats(mean=mu, std=std)
 
 
-def normalize_channel(channel: np.ndarray, stats: ChannelStats) -> np.ndarray:
-    return (np.asarray(channel, dtype=np.float64) - stats.mean) / stats.std
+def normalize_channel(channels: np.ndarray, stats: ChannelStats) -> np.ndarray:
+    mean, std = stats.broadcast()
+    return (np.asarray(channels, dtype=np.float64) - mean) / std
 
 
-def denormalize_channel(channel: np.ndarray, stats: ChannelStats) -> np.ndarray:
-    return np.asarray(channel, dtype=np.float64) * stats.std + stats.mean
+def denormalize_channel(channels: np.ndarray, stats: ChannelStats) -> np.ndarray:
+    mean, std = stats.broadcast()
+    return np.asarray(channels, dtype=np.float64) * std + mean
 
 
-def patchify(img_channel: np.ndarray, p: int) -> np.ndarray:
-    """Row-major non-overlapping p×p patches, flattened to length p²."""
-    x = np.asarray(img_channel, dtype=np.float64)
-    if x.ndim != 2:
-        raise GeometryError(f"expected a 2D channel, got shape {x.shape}")
-    h, w = x.shape
+def patchify(channels: np.ndarray, p: int) -> np.ndarray:
+    """Row-major non-overlapping p×p patches of each (H, W) channel,
+    flattened to length p²: (..., H, W) -> (..., L, p²)."""
+    x = np.asarray(channels, dtype=np.float64)
+    if x.ndim < 2:
+        raise GeometryError(f"expected 2D channels, got shape {x.shape}")
+    *lead, h, w = x.shape
     if h % p or w % p:
         raise GeometryError(f"patch size {p} does not divide image {h}×{w}")
     gh, gw = h // p, w // p
-    return x.reshape(gh, p, gw, p).transpose(0, 2, 1, 3).reshape(gh * gw, p * p)
+    return (x.reshape(*lead, gh, p, gw, p).swapaxes(-3, -2)
+            .reshape(*lead, gh * gw, p * p))
 
 
 def unpatchify(patches: np.ndarray, grid_h: int, grid_w: int, p: int) -> np.ndarray:
     """Inverse of :func:`patchify`."""
     patches = np.asarray(patches, dtype=np.float64)
-    if patches.shape != (grid_h * grid_w, p * p):
+    if patches.shape[-2:] != (grid_h * grid_w, p * p):
         raise GeometryError(
             f"patches {patches.shape} do not match grid {grid_h}×{grid_w}, p={p}"
         )
-    return (
-        patches.reshape(grid_h, grid_w, p, p)
-        .transpose(0, 2, 1, 3)
-        .reshape(grid_h * p, grid_w * p)
-    )
+    lead = patches.shape[:-2]
+    return (patches.reshape(*lead, grid_h, grid_w, p, p).swapaxes(-3, -2)
+            .reshape(*lead, grid_h * p, grid_w * p))
 
 
 def nearest_entry_indices(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Index of the L2-nearest entry per row; ties go to the lowest index.
+    """Index of the L2-nearest entry per (..., D) vector, in an array of the
+    vectors' leading shape; ties go to the lowest index.
 
     Uses the |v|^2 - 2 v.e + |e|^2 expansion (one matmul) rather than
     materializing all pairwise differences, over blocks of
@@ -149,21 +171,23 @@ def nearest_entry_indices(vectors: np.ndarray, entries: np.ndarray) -> np.ndarra
     block has a single row: NumPy sends a one-row product down a
     matrix-vector BLAS path whose last bits differ from the full product's.
     """
-    n = vectors.shape[0]
+    rows = vectors.reshape(-1, vectors.shape[-1])
+    n = rows.shape[0]
     e2 = np.sum(entries * entries, axis=1)[None, :]
     out = np.empty(n, dtype=np.intp)
     for lo in range(0, n, NEAREST_BLOCK_ROWS):
         lo = max(0, min(lo, n - NEAREST_BLOCK_ROWS))
-        v = vectors[lo:lo + NEAREST_BLOCK_ROWS]
+        v = rows[lo:lo + NEAREST_BLOCK_ROWS]
         d2 = np.sum(v * v, axis=1)[:, None] - 2.0 * v @ entries.T + e2
         out[lo:lo + v.shape[0]] = np.argmin(d2, axis=1)  # first (lowest) index
-    return out
+    return out.reshape(vectors.shape[:-1])
 
 
 def quantize(lat: LatentGrid, cb: Codebook) -> tuple[np.ndarray, LatentGrid]:
     """Snap each latent to its L2-nearest codebook entry.
 
-    Ties break to the lowest index.  Returns (indices, snapped grid).
+    Ties break to the lowest index.  Returns (indices, snapped grid); the
+    indices have the latents' leading shape and L.
     """
     if lat.D != cb.D:
         raise ShapeMismatchError(
@@ -188,10 +212,11 @@ class Tokenizer:
     def D(self) -> int:
         return self.enc_w.shape[0]
 
-    def encode(self, img_channel: np.ndarray) -> LatentGrid:
-        """Affine projection of each patch to D latent dims."""
-        x = np.asarray(img_channel, dtype=np.float64)
-        gh, gw = x.shape[0] // self.p, x.shape[1] // self.p
+    def encode(self, channels: np.ndarray) -> LatentGrid:
+        """Affine projection of each patch of (..., H, W) channels to D
+        latent dims."""
+        x = np.asarray(channels, dtype=np.float64)
+        gh, gw = x.shape[-2] // self.p, x.shape[-1] // self.p
         patches = patchify(x, self.p)
         return LatentGrid(patches @ self.enc_w.T + self.enc_b, gh, gw)
 
@@ -237,7 +262,7 @@ class Tokenizer:
                 raise InvalidInputError(f"{where} is missing or not a string")
             try:
                 raw = base64.b64decode(text, validate=True)
-            except binascii.Error:
+            except ValueError:  # binascii.Error, or a non-ASCII character
                 raise InvalidInputError(f"{where} is not base64") from None
             arrays[name] = decode_floats(raw, shape, where)
         try:
@@ -332,12 +357,13 @@ def train_tokenizer(
 ) -> tuple[Tokenizer, dict]:
     """Fit the affine encoder/decoder and the codebook.
 
-    `dataset` is an iterable of real 2D channels (already normalized by the
-    caller when that is desired), read once.  The encoder/decoder solve the
-    rank-D least-squares patch autoencoding problem (PCA); the codebook is
-    k-means over the encoded training latents.
+    `dataset` is an iterable of real (..., H, W) channels (already
+    normalized by the caller when that is desired), read once.  The
+    encoder/decoder solve the rank-D least-squares patch autoencoding
+    problem (PCA); the codebook is k-means over the encoded training
+    latents.
     """
-    blocks = [patchify(c, p) for c in dataset]
+    blocks = [patchify(c, p).reshape(-1, p * p) for c in dataset]
     if not blocks:
         raise ConfigError("training dataset is empty")
     patches = np.concatenate(blocks)

@@ -147,16 +147,15 @@ def test_criterion_05_entropy_bounds_and_values():
     uniform = np.zeros((16, K))
     one_hot = np.full((16, K), -1e3)
     one_hot[:, 5] = 0.0
-    h_uniform = patch_entropy(uniform, uniform, 4, 4)
+    h_uniform = patch_entropy(np.stack([uniform, uniform]), 4, 4)
     assert np.max(np.abs(h_uniform - 2 * math.log(K))) < 1e-9
-    h_zero = patch_entropy(one_hot, one_hot, 4, 4)
+    h_zero = patch_entropy(np.stack([one_hot, one_hot]), 4, 4)
     assert np.all(h_zero == 0.0)
     rng = np.random.default_rng(5)
-    mixed = patch_entropy(
+    mixed = patch_entropy(np.stack([
         np.log(rng.dirichlet(np.ones(K), size=16)),
         np.log(rng.dirichlet(np.ones(K), size=16)),
-        4, 4,
-    )
+    ]), 4, 4)
     assert np.all(mixed >= 0.0)
     assert np.all(mixed <= 2 * math.log(K) + 1e-12)
     _report(5, "entropy cells in [0, 2 ln K]; uniform = 2 ln K; one-hot = 0")

@@ -451,8 +451,7 @@ def every_op_graph() -> Tape:
 
     y = tape.source(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
     x = ad.t_ifft2c(tape, y, name="t_ifft2c")
-    re, im = ad.t_real(tape, x, name="t_real"), ad.t_imag(tape, x, name="t_imag")
-    ch = ad.t_add(tape, re, im, name="t_add")
+    ch = ad.t_split(tape, x, name="t_split")
     z = ad.t_channel_norm(tape, ch, name="t_channel_norm")
     patches = ad.t_patchify(tape, z, 4, name="t_patchify")
     lat = ad.t_affine(tape, patches, src(16, 4), src(4), name="t_affine")
@@ -460,8 +459,9 @@ def every_op_graph() -> Tape:
     q = ad.t_ste_quantize(tape, lat, cb, name="t_ste_quantize")
     shifted = ad.t_frozen_shift(tape, lat, tape.val(q) - tape.val(lat),
                                 name="t_frozen_shift")
-    h = ad.t_layer_norm(tape, ad.t_add(tape, q, shifted), src(4), src(4),
-                        name="t_layer_norm")
+    fused = ad.t_stream_sum(tape, ad.t_add(tape, q, shifted, name="t_add"),
+                            name="t_stream_sum")
+    h = ad.t_layer_norm(tape, fused, src(4), src(4), name="t_layer_norm")
     a = ad.t_attention(tape, h, src(4, 4), src(4), src(4, 4), src(4),
                        src(4, 4), src(4), src(4, 4), src(4), heads=2,
                        name="t_attention")

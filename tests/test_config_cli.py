@@ -749,6 +749,16 @@ class TestCLI:
                      ["layer0.ffn.w1.bin", "'layer0.ffn.w1'"], id="blob-nan"),
         pytest.param(lambda m, d: _poison_blob(d / "head_im.w.bin", -np.inf),
                      ["head_im.w.bin", "'head_im.w'"], id="blob-inf"),
+        pytest.param(lambda m, d: m["tensors"]["input.w"].update(
+                         file="missing.bin"),
+                     ["manifest.json", "'input.w'", "missing.bin"],
+                     id="file-missing"),
+        pytest.param(lambda m, d: m["tensors"]["head_re.w"].update(
+                         file=f"../{d.name}/head_re.w.bin"),
+                     ["manifest.json", "'head_re.w'"], id="file-outside"),
+        pytest.param(lambda m, d: m["tensors"]["head_im.w"].update(
+                         file=str(d / "head_im.w.bin")),
+                     ["manifest.json", "'head_im.w'"], id="file-absolute"),
     ])
     def test_corrupt_model_exit_one(self, mini_run, tmp_path, capsys, corrupt,
                                     named):
@@ -761,6 +771,19 @@ class TestCLI:
         assert main(["run", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert all(name in err for name in named), err
+        assert "Traceback" not in err
+        assert not (out / "results").exists()
+
+    def test_non_ascii_tokenizer_field_exit_one(self, mini_run, tmp_path,
+                                                capsys):
+        out, cfg_path = _artifact_copy(mini_run, tmp_path)
+        path = out / "artifacts" / "tokenizer.json"
+        doc = json.loads(path.read_text())
+        doc["enc_b"] = "\u00e9" + doc["enc_b"]
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "'enc_b'" in err, err
         assert "Traceback" not in err
         assert not (out / "results").exists()
 

@@ -10,9 +10,12 @@ from tokmri.gradients import (
     line_gradient_scores,
     pipeline_forward,
 )
-from tokmri.autodiff import softmax
+from tokmri import autodiff as ad
+from tokmri.autodiff import Tape, softmax
+from tokmri.model import LatentTransformer, TransformerConfig, build_forward
 from tokmri.phantoms import PhantomSpec, random_ellipse_phantom
 from tokmri.policies import patch_entropy
+from tokmri.tokenizer import Codebook, Tokenizer
 
 RNG = np.random.default_rng(1234)
 
@@ -33,7 +36,8 @@ def entropy_nats(probs):
 
 def total_entropy(logits_re, logits_im):
     """Summed per-position entropy of both streams (nats)."""
-    return float(patch_entropy(logits_re, logits_im, len(logits_re), 1).sum())
+    logits = np.stack([logits_re, logits_im])
+    return float(patch_entropy(logits, len(logits_re), 1).sum())
 
 
 class TestTotalEntropyLoss:
@@ -74,14 +78,10 @@ class TestBackwardToKspace:
         tape = Tape()
         y = tape.source(y0, "y")
         x = ad.t_ifft2c(tape, y)
-        re = ad.t_real(tape, x)
-        im = ad.t_imag(tape, x)
-        # scalar = sum(re^2) + sum(im^2); seed with the hand adjoints
-        grads = tape.backward(re, seed=2.0 * tape.val(re))
-        g1 = grads[y]
-        grads = tape.backward(im, seed=2.0 * tape.val(im))
-        g2 = grads[y]
-        assert np.allclose(g1 + g2, 2.0 * y0, atol=1e-10)
+        ch = ad.t_split(tape, x)
+        # scalar = sum(re^2) + sum(im^2); seed with the hand adjoint
+        grads = tape.backward(ch, seed=2.0 * tape.val(ch))
+        assert np.allclose(grads[y], 2.0 * y0, atol=1e-10)
 
     def test_zero_seed_zero_map(self, toy_setup):
         tok, model = toy_setup
@@ -158,9 +158,68 @@ class TestBackwardToKspace:
         ksp = acquire(img, make_center_mask(16, 0.25))
         state = pipeline_forward(ksp, tok, model)
         zf = tokenize_image(tok, zero_fill(ksp))
-        lre, lim = model.predict(zf.q_re, zf.q_im)
+        lre, lim = model.predict(zf.q)
         assert np.allclose(softmax(state.logits[0]), softmax(lre), atol=1e-12)
         assert np.allclose(softmax(state.logits[1]), softmax(lim), atol=1e-12)
+
+
+def per_channel_entropy_tape(ksp, tok, model):
+    """The measurement-to-entropy tape with one node per channel from the
+    complex split to the quantizer: a real-part node, then an imaginary-part
+    node, each channel normalized, encoded and snapped on its own, and the
+    two snapped grids stacked for the trunk.  Returns (tape, y id, loss id).
+    """
+    tape = Tape()
+    y = tape.source(ksp, "y")
+    x = ad.t_ifft2c(tape, y)
+    parts = [
+        tape.apply("real", lambda v: (np.ascontiguousarray(v.real), None),
+                   lambda cache, g: (g.astype(np.complex128),), (x,)),
+        tape.apply("imag", lambda v: (np.ascontiguousarray(v.imag), None),
+                   lambda cache, g: (1j * g.astype(np.complex128),), (x,)),
+    ]
+    enc_wt, enc_b = tape.source(tok.enc_w.T), tape.source(tok.enc_b)
+    snapped = []
+    for ch in parts:
+        patches = ad.t_patchify(tape, ad.t_channel_norm(tape, ch), tok.p)
+        lat = ad.t_affine(tape, patches, enc_wt, enc_b)
+        snapped.append(ad.t_ste_quantize(tape, lat, tok.codebook))
+    q = tape.apply("stack", lambda a, b: (np.stack([a, b]), None),
+                   lambda cache, g: (g[0], g[1]), snapped)
+    heads = build_forward(tape, model.source_params(tape), model.cfg, q)
+    loss = ad.t_add(tape, *[ad.t_entropy_sum(tape, h) for h in heads])
+    return tape, y, loss
+
+
+class TestStackedChannels:
+    """The pipeline that carries both channels in one (2, ...) node per stage
+    gives the loss and the k-space gradient of the per-channel tape, bit for
+    bit."""
+
+    @pytest.mark.parametrize("size", [16, 32, 64, 128])
+    def test_kspace_gradient_matches_per_channel_tape(self, size):
+        rng = np.random.default_rng(size)
+        p, D, K = 8, 8, 16
+        tok = Tokenizer(p=p, enc_w=rng.normal(size=(D, p * p)) * 0.3,
+                        enc_b=rng.normal(size=D) * 0.1,
+                        dec_w=rng.normal(size=(p * p, D)) * 0.3,
+                        dec_b=rng.normal(size=p * p) * 0.1,
+                        codebook=Codebook(rng.normal(size=(K, D))))
+        model = LatentTransformer.init(
+            TransformerConfig(layers=1, heads=2, embed_dim=16, ffn_dim=32),
+            latent_dim=D, seq_len=(size // p) ** 2, codebook_size=K, seed=1)
+        for name in ("head_re.w", "head_im.w"):
+            model.params[name] = rng.normal(size=model.params[name].shape)
+        for seed in range(3):
+            img = random_ellipse_phantom(PhantomSpec(size=size, seed=seed))
+            ksp = acquire(img, make_center_mask(size, 0.25))
+            state = pipeline_forward(ksp, tok, model)
+            tape, y, loss = per_channel_entropy_tape(ksp, tok, model)
+            want = tape.backward(loss, seed=np.float64(1.0), wrt=(y,))[y]
+            assert np.float64(state.loss).tobytes() == \
+                np.float64(tape.val(loss)).tobytes()
+            assert backward_to_kspace(state).tobytes() == \
+                np.asarray(want, dtype=np.complex128).tobytes()
 
 
 class TestLineGradientScores:

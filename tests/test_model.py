@@ -16,9 +16,11 @@ from tokmri.model import (
     build_forward,
     predicted_tokens,
     reconstruct,
+    tokenize_image,
     train_model,
 )
 from tokmri.phantoms import PhantomSpec, random_ellipse_phantom
+from tokmri.policies import oracle_reconstruct
 from tokmri.tokenizer import (
     ChannelStats,
     Codebook,
@@ -36,6 +38,11 @@ def grid(arr, gh, gw):
     return LatentGrid(np.asarray(arr, dtype=float), gh, gw)
 
 
+def streams(re, im, gh, gw):
+    """The (2, L, D) stream stack of the real and imaginary latents."""
+    return grid(np.stack([re, im]), gh, gw)
+
+
 def make_model(layers=1, heads=2, embed=16, ffn=32, D=8, L=4, K=8, seed=0):
     cfg = TransformerConfig(layers=layers, heads=heads, embed_dim=embed,
                             ffn_dim=ffn)
@@ -43,20 +50,19 @@ def make_model(layers=1, heads=2, embed=16, ffn=32, D=8, L=4, K=8, seed=0):
                                   codebook_size=K, seed=seed)
 
 
-def fused_rows(model, q_re, q_im):
+def fused_rows(model, q):
     """Value of the trunk's `fuse` node (layer norm of the stream sum)."""
     tape = Tape()
     build_forward(tape, model.source_params(tape), model.cfg,
-                  tape.source(q_re.vectors), tape.source(q_im.vectors))
+                  tape.source(q.vectors))
     node = next(n for n in tape.nodes if n.name == "fuse")
     return tape.val(node.out_id)
 
 
 class TestFuseStreams:
     def test_zero_second_stream_is_layer_norm(self):
-        q = grid(RNG.standard_normal((4, 6)), 2, 2)
-        z = grid(np.zeros((4, 6)), 2, 2)
-        rows = fused_rows(make_model(D=6), q, z)
+        q = streams(RNG.standard_normal((4, 6)), np.zeros((4, 6)), 2, 2)
+        rows = fused_rows(make_model(D=6), q)
         assert np.allclose(rows.mean(axis=1), 0, atol=1e-12)
 
     def test_symmetry(self):
@@ -65,15 +71,15 @@ class TestFuseStreams:
         for name in model.params:
             model.params[name] = model.params[name] + RNG.normal(
                 scale=0.2, size=model.params[name].shape)
-        a = grid(RNG.standard_normal((4, 6)), 2, 2)
-        b = grid(RNG.standard_normal((4, 6)), 2, 2)
-        for z_ab, z_ba in zip(model.predict(a, b), model.predict(b, a)):
+        a = RNG.standard_normal((4, 6))
+        b = RNG.standard_normal((4, 6))
+        for z_ab, z_ba in zip(model.predict(streams(a, b, 2, 2)),
+                              model.predict(streams(b, a, 2, 2))):
             assert np.array_equal(z_ab, z_ba)
 
     def test_hand_computed_row(self):
-        a = grid([[1.0, 2.0, 3.0, 4.0]], 1, 1)
-        b = grid([[0.0, 0.0, 0.0, 0.0]], 1, 1)
-        fused = fused_rows(make_model(D=4, L=1), a, b)
+        q = streams([[1.0, 2.0, 3.0, 4.0]], [[0.0, 0.0, 0.0, 0.0]], 1, 1)
+        fused = fused_rows(make_model(D=4, L=1), q)
         # mean 2.5, population std sqrt(1.25); eps shifts it negligibly
         expect = (np.array([1, 2, 3, 4]) - 2.5) / math.sqrt(1.25 + 1e-5)
         assert np.allclose(fused[0], expect, atol=1e-6)
@@ -81,10 +87,12 @@ class TestFuseStreams:
         assert abs(fused[0].var() - 1.0) < 1e-4
 
     def test_shape_mismatch(self):
-        a = grid(np.zeros((4, 6)), 2, 2)
-        b = grid(np.zeros((4, 5)), 2, 2)
+        # one stream alone, or streams of the wrong latent dimension
+        model = make_model(D=6)
         with pytest.raises(ShapeMismatchError):
-            make_model(D=6).predict(a, b)
+            model.predict(grid(np.zeros((4, 6)), 2, 2))
+        with pytest.raises(ShapeMismatchError):
+            model.predict(streams(np.zeros((4, 5)), np.zeros((4, 5)), 2, 2))
 
 
 class TestPredict:
@@ -93,18 +101,18 @@ class TestPredict:
         for name in model.params:
             model.params[name] = model.params[name] + RNG.normal(
                 scale=0.2, size=model.params[name].shape)
-        q_re = grid(RNG.standard_normal((4, 8)), 2, 2)
-        q_im = grid(RNG.standard_normal((4, 8)), 2, 2)
-        p_re, p_im = map(ad.softmax, model.predict(q_re, q_im))
+        q = streams(RNG.standard_normal((4, 8)), RNG.standard_normal((4, 8)),
+                    2, 2)
+        p_re, p_im = ad.softmax(model.predict(q))
         assert np.allclose(p_re.sum(axis=1), 1.0, atol=1e-9)
         assert np.allclose(p_im.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(p_re > 0) and np.all(p_re < 1)
 
     def test_zero_heads_give_uniform(self):
         model = make_model()  # heads start at zero by construction
-        q_re = grid(RNG.standard_normal((4, 8)), 2, 2)
-        q_im = grid(RNG.standard_normal((4, 8)), 2, 2)
-        p_re, p_im = map(ad.softmax, model.predict(q_re, q_im))
+        q = streams(RNG.standard_normal((4, 8)), RNG.standard_normal((4, 8)),
+                    2, 2)
+        p_re, p_im = ad.softmax(model.predict(q))
         assert np.allclose(p_re, 1.0 / 8, atol=1e-15)
         assert np.allclose(p_im, 1.0 / 8, atol=1e-15)
 
@@ -113,24 +121,23 @@ class TestPredict:
         for name in model.params:
             model.params[name] = model.params[name] + RNG.normal(
                 scale=0.2, size=model.params[name].shape)
-        q_re = grid(RNG.standard_normal((4, 8)), 2, 2)
-        q_im = grid(RNG.standard_normal((4, 8)), 2, 2)
-        lre, _ = model.predict(q_re, q_im)
+        q = streams(RNG.standard_normal((4, 8)), RNG.standard_normal((4, 8)),
+                    2, 2)
+        lre, _ = model.predict(q)
         perm = np.array([2, 0, 3, 1])
         model_p = LatentTransformer(model.cfg,
                                     {k: v.copy() for k, v in model.params.items()},
                                     model.latent_dim, model.seq_len,
                                     model.codebook_size)
         model_p.params["pos"] = model.params["pos"][perm]
-        lre_p, _ = model_p.predict(grid(q_re.vectors[perm], 2, 2),
-                                   grid(q_im.vectors[perm], 2, 2))
+        lre_p, _ = model_p.predict(grid(q.vectors[:, perm], 2, 2))
         assert np.allclose(ad.softmax(lre_p), ad.softmax(lre)[perm], atol=1e-10)
 
     def test_deterministic_bit_identical(self):
         model = make_model(seed=5)
-        q_re = grid(RNG.standard_normal((4, 8)), 2, 2)
-        q_im = grid(RNG.standard_normal((4, 8)), 2, 2)
-        for a, b in zip(model.predict(q_re, q_im), model.predict(q_re, q_im)):
+        q = streams(RNG.standard_normal((4, 8)), RNG.standard_normal((4, 8)),
+                    2, 2)
+        for a, b in zip(model.predict(q), model.predict(q)):
             assert np.array_equal(a, b)
 
     def test_logits_equal_recorded_forward(self):
@@ -139,21 +146,20 @@ class TestPredict:
         for name in model.params:
             model.params[name] = model.params[name] + rng.normal(
                 scale=0.2, size=model.params[name].shape)
-        q_re = grid(rng.standard_normal((4, 8)), 2, 2)
-        q_im = grid(rng.standard_normal((4, 8)), 2, 2)
+        q = streams(rng.standard_normal((4, 8)), rng.standard_normal((4, 8)),
+                    2, 2)
         tape = Tape()
         lre, lim = build_forward(tape, model.source_params(tape), model.cfg,
-                                 tape.source(q_re.vectors),
-                                 tape.source(q_im.vectors))
-        pred_re, pred_im = model.predict(q_re, q_im)
+                                 tape.source(q.vectors))
+        pred_re, pred_im = model.predict(q)
         assert np.array_equal(pred_re, tape.val(lre))
         assert np.array_equal(pred_im, tape.val(lim))
 
     def test_geometry_mismatch(self):
         model = make_model()
-        q = grid(RNG.standard_normal((9, 8)), 3, 3)
+        q = RNG.standard_normal((9, 8))
         with pytest.raises(ShapeMismatchError):
-            model.predict(q, q)
+            model.predict(streams(q, q, 3, 3))
 
 
 class TestPredictedTokens:
@@ -226,10 +232,8 @@ class TestReconstruct:
                         dec_w=RNG.standard_normal((4, 3)),
                         dec_b=np.zeros(4),
                         codebook=Codebook(RNG.standard_normal((4, 3))))
-        q_re = grid(RNG.standard_normal((4, 3)), 2, 2)
-        q_im = grid(np.zeros((4, 3)), 2, 2)
-        out = reconstruct(tok, q_re, q_im, ChannelStats(0.0, 1.0),
-                          ChannelStats(0.0, 1.0))
+        q = streams(RNG.standard_normal((4, 3)), np.zeros((4, 3)), 2, 2)
+        out = reconstruct(tok, q, ChannelStats(np.zeros(2), np.ones(2)))
         assert np.array_equal(out.imag, np.zeros((4, 4)))
         assert out.shape == (4, 4)
 
@@ -240,12 +244,51 @@ class TestReconstruct:
                         dec_w=RNG.standard_normal((4, 3)),
                         dec_b=RNG.standard_normal(4),
                         codebook=Codebook(RNG.standard_normal((4, 3))))
-        q_re = grid(RNG.standard_normal((4, 3)), 2, 2)
-        q_im = grid(RNG.standard_normal((4, 3)), 2, 2)
-        sre, sim = ChannelStats(1.5, 2.0), ChannelStats(-0.5, 0.25)
-        out = reconstruct(tok, q_re, q_im, sre, sim)
-        assert np.allclose(out.real, tok.decode(q_re) * 2.0 + 1.5)
-        assert np.allclose(out.imag, tok.decode(q_im) * 0.25 - 0.5)
+        q_re = RNG.standard_normal((4, 3))
+        q_im = RNG.standard_normal((4, 3))
+        stats = ChannelStats(np.array([1.5, -0.5]), np.array([2.0, 0.25]))
+        out = reconstruct(tok, streams(q_re, q_im, 2, 2), stats)
+        assert np.allclose(out.real, tok.decode(grid(q_re, 2, 2)) * 2.0 + 1.5)
+        assert np.allclose(out.imag, tok.decode(grid(q_im, 2, 2)) * 0.25 - 0.5)
+
+
+class TestStackedChannels:
+    """The (2, H, W) channel stack gives each channel the bits of the path
+    that handles one (H, W) channel at a time."""
+
+    @staticmethod
+    def per_channel(tok, img):
+        """(q, idx, stats) of the real and then the imaginary channel, and
+        the reconstruction decoded from them, one channel per call."""
+        tokens, decoded = [], []
+        for ch in (img.real, img.imag):
+            stats = channel_stats(ch)
+            idx, q = tok.quantize(tok.encode(normalize_channel(ch, stats)))
+            tokens.append((q, idx, stats))
+            decoded.append(tok.decode(q) * stats.std + stats.mean)
+        return tokens, decoded[0] + 1j * decoded[1]
+
+    @pytest.mark.parametrize("size", [16, 32, 64, 128, 256])
+    def test_tokens_and_reconstructions_match_per_channel_path(self, size):
+        rng = np.random.default_rng(size)
+        p, D, K = 8, 16, 256
+        tok = Tokenizer(p=p, enc_w=rng.standard_normal((D, p * p)) * 0.3,
+                        enc_b=rng.standard_normal(D) * 0.1,
+                        dec_w=rng.standard_normal((p * p, D)) * 0.3,
+                        dec_b=rng.standard_normal(p * p) * 0.1,
+                        codebook=Codebook(rng.standard_normal((K, D))))
+        for seed in range(3):
+            img = random_ellipse_phantom(PhantomSpec(size=size, seed=seed))
+            want, recon = self.per_channel(tok, img)
+            got = tokenize_image(tok, img)
+            assert got.q.vectors.shape == (2, (size // p) ** 2, D)
+            for c, (q, idx, stats) in enumerate(want):
+                assert got.q.vectors[c].tobytes() == q.vectors.tobytes()
+                assert np.array_equal(got.idx[c], idx)
+                assert got.stats.mean[c].tobytes() == stats.mean.tobytes()
+                assert got.stats.std[c].tobytes() == stats.std.tobytes()
+            assert reconstruct(tok, got.q, got.stats).tobytes() == recon.tobytes()
+            assert oracle_reconstruct(img, tok).tobytes() == recon.tobytes()
 
 
 class TestTrainingGradients:
@@ -257,16 +300,14 @@ class TestTrainingGradients:
         for name in model.params:
             model.params[name] = model.params[name] + rng.normal(
                 scale=0.3, size=model.params[name].shape)
-        q_re = rng.standard_normal((4, 8))
-        q_im = rng.standard_normal((4, 8))
-        idx_re = rng.integers(0, 8, size=4)
-        idx_im = rng.integers(0, 8, size=4)
-        _, grads = batch_loss_and_grads(model, q_re, q_im, idx_re, idx_im)
+        q = rng.standard_normal((2, 4, 8))
+        idx = rng.integers(0, 8, size=(2, 4))
+        _, grads = batch_loss_and_grads(model, q, idx)
 
         def loss_with(params):
             saved = model.params
             model.params = params
-            val, _ = batch_loss_and_grads(model, q_re, q_im, idx_re, idx_im)
+            val, _ = batch_loss_and_grads(model, q, idx)
             model.params = saved
             return val
 
@@ -287,11 +328,9 @@ class TestTrainingGradients:
         rng = np.random.default_rng(6)
         model = make_model(layers=1, heads=1, embed=8, ffn=16, D=4, L=2, K=4,
                            seed=2)
-        q_re = rng.standard_normal((2, 4))
-        q_im = rng.standard_normal((2, 4))
-        idx_re = np.array([1, 3])
-        idx_im = np.array([0, 2])
-        _, grads = batch_loss_and_grads(model, q_re, q_im, idx_re, idx_im)
+        q = rng.standard_normal((2, 2, 4))
+        idx = np.array([[1, 3], [0, 2]])
+        _, grads = batch_loss_and_grads(model, q, idx)
         g = grads["head_re.w"]
         for i in RNG.choice(g.size, size=12, replace=False):
             h = 1e-6
@@ -301,9 +340,9 @@ class TestTrainingGradients:
             dn["head_re.w"].flat[i] -= h
             saved = model.params
             model.params = up
-            lu, _ = batch_loss_and_grads(model, q_re, q_im, idx_re, idx_im)
+            lu, _ = batch_loss_and_grads(model, q, idx)
             model.params = dn
-            ld, _ = batch_loss_and_grads(model, q_re, q_im, idx_re, idx_im)
+            ld, _ = batch_loss_and_grads(model, q, idx)
             model.params = saved
             fd = (lu - ld) / (2 * h)
             assert abs(fd - g.flat[i]) < 1e-5 * max(abs(fd), abs(g.flat[i]), 1.0)
@@ -315,13 +354,10 @@ class TestTrainingGradients:
             model.params[name] = model.params[name] + rng.normal(
                 scale=0.2, size=model.params[name].shape)
         B = 3
-        qr = rng.standard_normal((B, 4, 8))
-        qi = rng.standard_normal((B, 4, 8))
-        ir = rng.integers(0, 8, size=(B, 4))
-        ii = rng.integers(0, 8, size=(B, 4))
-        lb, gb = batch_loss_and_grads(model, qr, qi, ir, ii)
-        singles = [batch_loss_and_grads(model, qr[b], qi[b], ir[b], ii[b])
-                   for b in range(B)]
+        q = rng.standard_normal((B, 2, 4, 8))
+        idx = rng.integers(0, 8, size=(B, 2, 4))
+        lb, gb = batch_loss_and_grads(model, q, idx)
+        singles = [batch_loss_and_grads(model, q[b], idx[b]) for b in range(B)]
         assert abs(lb - np.mean([s[0] for s in singles])) < 1e-12
         for k in gb:
             mean_g = np.mean([s[1][k] for s in singles], axis=0)
@@ -333,17 +369,17 @@ class TestTrainingGradients:
         for name in model.params:
             model.params[name] = model.params[name] + rng.normal(
                 scale=0.2, size=model.params[name].shape)
-        qr, qi = rng.standard_normal((2, 3, 4, 8))
-        ir, ii = rng.integers(0, 8, size=(2, 3, 4))
-        _, grads = batch_loss_and_grads(model, qr, qi, ir, ii)
+        q = rng.standard_normal((3, 2, 4, 8))
+        idx = rng.integers(0, 8, size=(3, 2, 4))
+        _, grads = batch_loss_and_grads(model, q, idx)
         tape = Tape()
         pids = model.source_params(tape)
-        rid, iid = tape.source(qr), tape.source(qi)
-        lre, lim = build_forward(tape, pids, model.cfg, rid, iid)
-        loss = ad.t_add(tape, ad.t_cross_entropy(tape, lre, ir),
-                        ad.t_cross_entropy(tape, lim, ii))
+        qid = tape.source(q)
+        lre, lim = build_forward(tape, pids, model.cfg, qid)
+        loss = ad.t_add(tape, ad.t_cross_entropy(tape, lre, idx[:, 0]),
+                        ad.t_cross_entropy(tape, lim, idx[:, 1]))
         full = tape.backward(loss, seed=np.float64(1.0))
-        assert rid in full and iid in full  # the data's gradients too
+        assert qid in full  # the data's gradient too
         wrt = tuple(pids.values())
         only = tape.backward(loss, seed=np.float64(1.0), wrt=wrt)
         assert sorted(only) == sorted(wrt)
@@ -358,11 +394,11 @@ class TestTrainingGradients:
         rng = np.random.default_rng(0)
         model = LatentTransformer.init(TransformerConfig(), latent_dim=16,
                                        seq_len=256, codebook_size=256)
-        qr, qi = rng.standard_normal((2, 8, 256, 16))
-        ir, ii = rng.integers(0, 256, size=(2, 8, 256))
+        q = rng.standard_normal((8, 2, 256, 16))
+        idx = rng.integers(0, 256, size=(8, 2, 256))
         tracemalloc.start()
         try:
-            batch_loss_and_grads(model, qr, qi, ir, ii)
+            batch_loss_and_grads(model, q, idx)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -536,7 +572,7 @@ class TestPersistence:
         assert set(back.params) == set(model.params)
         for k in model.params:
             assert np.array_equal(back.params[k], model.params[k])
-        q = grid(rng.standard_normal((4, 8)), 2, 2)
-        a, _ = model.predict(q, q)
-        b, _ = back.predict(q, q)
+        q = rng.standard_normal((4, 8))
+        a = model.predict(streams(q, q, 2, 2))
+        b = back.predict(streams(q, q, 2, 2))
         assert np.array_equal(a, b)

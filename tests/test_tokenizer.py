@@ -555,6 +555,8 @@ class TestLoadFailsClosed:
         pytest.param(lambda doc: doc.pop("K"), "K", id="missing-K"),
         pytest.param(_set("dec_b", "not base64!"), "dec_b", id="bad-base64"),
         pytest.param(_set("enc_b", 3), "enc_b", id="not-a-string"),
+        pytest.param(lambda doc: doc.update(enc_b="\u00e9" + doc["enc_b"]),
+                     "enc_b", id="non-ascii-base64"),
         pytest.param(_truncate("entries"), "entries", id="short-payload"),
         pytest.param(_set("K", 9), "entries", id="K-disagrees"),
         pytest.param(_set("p", 2), "enc_w", id="p-disagrees"),
