@@ -1,11 +1,11 @@
 """Patch tokenizer: affine encoder/decoder plus a k-means codebook.
 
 One tokenizer serves both the real and imaginary channels.  A complex image
-becomes a (..., 2, H, W) real stack in `split_channels`, and every function
-here takes any leading axes, so both channels are normalized, encoded,
-quantized and decoded in one call.  The encoder and decoder are single
-affine maps per patch, fit by least squares (PCA), which keeps the
-quantizer's gradient path analyzable.
+becomes a (..., 2, H, W) real stack in `split_channels`, and normalization,
+encoding, quantization and decoding take any leading axes, so both channels
+go through each in one call.  The encoder and decoder are single affine
+maps per patch, fit by least squares (PCA), which keeps the quantizer's
+gradient path analyzable.
 
 Channels are normalized to zero mean, unit std per image before encoding;
 the stats are returned so reconstruction can invert them.
